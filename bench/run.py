@@ -8,7 +8,7 @@ Run it from anywhere; it imports the package from ``src/`` next to this
 directory and fails (exit 2, no result) when that is missing.  All inputs
 are generated from ``--seed`` before timing starts.  The last line of
 standard output is the result JSON; the line before it is the full run
-record (metadata, failures, CLI output digests), also written to
+record (metadata, failures, defect probes, CLI output digests), also written to
 ``bench/out/``.  See ``bench/README.md`` for workloads and metrics.
 """
 
@@ -43,10 +43,10 @@ MIN_OPS = 100
 HARD_LIMIT_S = 140.0
 
 #: Ops in the fixed list the traced run repeats: one schedule block each (for
-#: validate the block plus the three tol=1e-10 ops).
-TRACE_OPS = {"invert": 20, "validate": 23, "crossings": 20, "cli": 50}
+#: validate the block plus the two tol=1e-10 ops).
+TRACE_OPS = {"invert": 20, "validate": 22, "crossings": 20, "cli": 48}
 #: Ops the smoke mode runs per workload: every op kind at least once.
-SMOKE_OPS = {"invert": 8, "validate": 8, "crossings": 8, "cli": 50}
+SMOKE_OPS = {"invert": 8, "validate": 8, "crossings": 8, "cli": 48}
 
 THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -257,6 +257,25 @@ def warm(workload, ops, workdir):
     return problems
 
 
+def probe_defects(workload, workdir):
+    """Run the workload's defect probes once, untimed.  Returns ident ->
+    "reproduced" (the documented failure), "fixed" (the op now passes) or
+    "unexpected: <reason>" (it fails some other way)."""
+    import workloads
+
+    status = {}
+    for op in workloads.defect_probes(workload, workdir):
+        result, exc = _execute(op)
+        reason = op.check(result, exc)
+        if reason is None:
+            status[op.ident] = "fixed"
+        elif op.known_defect(result, exc):
+            status[op.ident] = "reproduced"
+        else:
+            status[op.ident] = f"unexpected: {reason}"
+    return status
+
+
 # ---------------------------------------------------------------- metrics
 
 
@@ -271,8 +290,9 @@ def end_to_end(tally, setup_s):
     }
 
 
-def per_layer(tracer, n_ops, written, imports, overhead):
-    """Per-op layer metrics; ``None`` where a traced name has vanished."""
+def per_layer(tracer, n_ops, written, imports, overhead, defects):
+    """Per-op layer metrics; ``None`` where a traced name has vanished.
+    ``defects`` is the defect-probe status of the run (not per op)."""
     calls, self_s, extra, errors, edges = tracer.totals()
 
     def per_op(value, *spans):
@@ -313,6 +333,8 @@ def per_layer(tracer, n_ops, written, imports, overhead):
         "cli.write.self_s": self_time("cli.write"),
         "cli.bytes_written": (written / n_ops, "bytes"),
         "trace.overhead_frac": (overhead, "fraction"),
+        "defects.reproduced": (
+            sum(status == "reproduced" for status in defects.values()), "count"),
     }
 
 
@@ -399,12 +421,16 @@ def measure(workload, seed, seconds, trace, *, setup_probes=SETUP_PROBES,
             overhead = None  # undefined when no op succeeds
             if plain.correct and tally.correct:
                 overhead = 1.0 - (tally.correct / tally.elapsed) / (plain.correct / plain.elapsed)
-            metrics = per_layer(tracer, tally.attempted, written, imports, overhead)
+            defects = probe_defects(workload, workdir)
+            metrics = per_layer(tracer, tally.attempted, written, imports, overhead, defects)
             unexpected = plain.unexpected + tally.unexpected
         else:
             tally = run_timed(ops, seconds, min_ops)
             metrics = end_to_end(tally, setup_s)
+            defects = probe_defects(workload, workdir)
             unexpected = tally.unexpected
+        unexpected += [ident for ident, status in defects.items()
+                       if status.startswith("unexpected")]
         digests = {op.ident: op.digests() for op in ops if hasattr(op, "digests")}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -420,6 +446,7 @@ def measure(workload, seed, seconds, trace, *, setup_probes=SETUP_PROBES,
     record = {
         "result": result,
         "warmup_problems": problems,
+        "baseline_defects": defects,
         "failures": {ident: {"kind": kinds.get(ident), "reason": reason, "known_defect": known}
                      for ident, (reason, known) in sorted(tally.failures.items())},
         "elapsed_s": tally.elapsed,
@@ -472,7 +499,8 @@ def smoke():
                                      trace_ops=SMOKE_OPS[workload])
             problems = check_schema(result, trace)
             if not result["correct"]:
-                problems.append(f"incorrect: {record['failures']} {record['warmup_problems']}")
+                problems.append(f"incorrect: {record['failures']} {record['warmup_problems']} "
+                                f"{record['baseline_defects']}")
             failed = failed or bool(problems)
             print(f"smoke {workload} trace={trace}: attempted={result['attempted']} "
                   f"failed={result['failed']} " + ("OK" if not problems else f"FAIL {problems}"))

@@ -83,19 +83,27 @@ def test_cli_check_rejects_changed_bytes_and_wrong_codes(tmp_path):
     assert bad.check((0, ""), None)
 
 
-def test_known_defects_are_limited_to_their_ops(tmp_path):
-    ops = workloads.validate_ops(0, 8)
-    tight = [op for op in ops if op.kind == "tol1e-10"]
-    assert len(tight) == len(workloads.VALIDATE_TIGHT)
+def test_known_defects_are_limited_to_the_probes(tmp_path):
     error = ConvergenceError("stalled")
-    assert all(op.known_defect(None, error) for op in tight)
-    assert not any(op.known_defect(None, error) for op in ops if op.kind != "tol1e-10")
+    for op in workloads.validate_ops(0, 8):
+        assert not op.known_defect(None, error)
+    (probe,) = workloads.defect_probes("validate", str(tmp_path))
+    assert probe.known_defect(None, error)
     for op in workloads.cli_ops(0, str(tmp_path), size=workloads.CLI_CONFIGS // 2):
-        overflow = op.known_defect(None, OverflowError("inf"))
-        assert overflow == (op.kind == "spin-infinity")
-        assert op.known_defect((3, "ERROR 3: x"), None) == (op.kind == "invert-nan")
+        assert not op.known_defect(None, OverflowError("inf"))
+        assert not op.known_defect((3, "ERROR 3: x"), None)
+    overflow, nan = workloads.defect_probes("cli", str(tmp_path))
+    assert overflow.known_defect(None, OverflowError("inf"))
+    assert not overflow.known_defect((3, "ERROR 3: x"), None)
+    assert nan.known_defect((3, "ERROR 3: x"), None)
     for op in workloads.invert_ops(0, 20):
         assert not op.known_defect(None, ConvergenceError("not an inversion failure"))
+
+
+def test_cli_probes_reproduce_or_pass(tmp_path):
+    status = run.probe_defects("cli", str(tmp_path))
+    assert sorted(status) == ["cli-defect-invert-nan", "cli-defect-spin-infinity"]
+    assert set(status.values()) <= {"reproduced", "fixed"}
 
 
 def test_tracer_counts_spans_and_restores():
@@ -143,7 +151,7 @@ def test_vanished_names_report_none(monkeypatch):
     finally:
         tracer.restore()
     assert tally.correct == 0  # crossing_scan itself needs the deleted helper
-    metrics = run.per_layer(tracer, tally.attempted, written, {}, 0.0)
+    metrics = run.per_layer(tracer, tally.attempted, written, {}, 0.0, {})
     assert metrics["spectroscopy.pair_delta_e.calls"][0] is None
     assert metrics["spectroscopy.bisection_evals"][0] is None
     assert metrics["spectroscopy.crossing_scan.self_s"][0] is not None

@@ -6,9 +6,12 @@ time, so the tracer in ``tracing.py`` sees the calls when it has wrapped
 those attributes.  Checkers use references captured at import time, so their
 own calls into the package are never traced.
 
-A failing op is either a regression or one of the documented baseline
-defects (``Op.known_defect``).  The run stays ``correct`` only when every
-failure is a documented defect; all failures count in ``failed``.
+The timed ops of ``validate`` and ``cli`` pass at the parent commit.  Their
+documented baseline defects are reproduced by separate, fixed probe ops
+(``defect_probes``) that run once per run, untimed and outside ``attempted``
+and ``failed``.  ``invert``, which the benchmark does not list, still keeps
+its rare known failures in the loop and tells them apart with
+``Op.known_defect``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ WORKLOADS = ("invert", "validate", "crossings", "cli")
 #: parent commit's speed never wraps around, so every op in a run is distinct.
 POOL_SIZE = 1000
 
-#: The README quickstart trap, used for the fixed tol=1e-10 validate ops and
-#: for the warm-up ops of invert and validate.
+#: The README quickstart trap, used for the fixed tol=1e-10 validate ops, the
+#: validate defect probe and the warm-up ops of invert and validate.
 QUICKSTART_SYSTEM = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
 QUICKSTART_FIELD = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
 
@@ -49,7 +52,7 @@ class Op:
     ``run`` performs the call and returns its result; ``check(result, exc)``
     returns None when the op is correct, else a one-line reason.
     ``known_defect(result, exc)`` is True when a failure is the documented
-    baseline behaviour of this op.
+    baseline behaviour of this op (set on defect probes and on invert ops).
     """
 
     ident: str
@@ -203,12 +206,12 @@ def invert_warmup():
 #: 70% so the median sits inside it; p90 sits inside the k=20 band.
 VALIDATE_MIX = (("k5", 14), ("k20", 6))
 
-#: Fixed tol=1e-10 ops (README quickstart sectors, k=5), run as ops 1-3 of
-#: every run.  At the parent commit the finite-difference oracle stalls on
-#: round-off for M=+1/2 and raises ConvergenceError after ~1.3 s; the other
-#: two converge.  Keeping these ops fixed makes that costly failure the same
-#: in every run, whatever the seed.
-VALIDATE_TIGHT = ((-1.5, 1), (-0.5, 2), (0.5, 3))
+#: Fixed tol=1e-10 ops (README quickstart sectors, k=5), run as ops 1-2 of
+#: every run; both converge.  The third quickstart sector, M=+1/2, is the
+#: validate defect probe: there the finite-difference oracle stalls on
+#: round-off and raises ConvergenceError after ~1.3 s.
+VALIDATE_TIGHT = ((-1.5, 1), (-0.5, 2))
+VALIDATE_DEFECT_M = 0.5
 TIGHT_TOL = 1e-10
 
 
@@ -229,10 +232,12 @@ def _validate_op(ident, kind, system, field, mq, k, tol):
             return f"validation failed: worst relative error {worst:.3e}, tol {tol:g}"
         return None
 
-    def known_defect(report, exc):
-        return tol < 1e-8 and isinstance(exc, ConvergenceError)
+    return Op(ident, kind, run, check)
 
-    return Op(ident, kind, run, check, known_defect)
+
+def _tight_op(ident, mq):
+    return _validate_op(ident, "tol1e-10", QUICKSTART_SYSTEM, QUICKSTART_FIELD, mq, 5,
+                        TIGHT_TOL)
 
 
 def validate_ops(seed, size=POOL_SIZE):
@@ -244,11 +249,7 @@ def validate_ops(seed, size=POOL_SIZE):
         system, field, mq = _scenario(rng, spin, n_checked=k)
         ops.append(_validate_op(f"validate-{i}", kind, system, field, mq, k, 1e-8))
     for mq, pos in VALIDATE_TIGHT:
-        op = _validate_op(
-            f"validate-tight-m{mq:+g}", "tol1e-10",
-            QUICKSTART_SYSTEM, QUICKSTART_FIELD, mq, 5, TIGHT_TOL,
-        )
-        ops.insert(pos, op)
+        ops.insert(pos, _tight_op(f"validate-tight-m{mq:+g}", mq))
     return ops
 
 
@@ -349,36 +350,39 @@ def crossings_warmup():
 
 # ---------------------------------------------------------------------- cli
 
-#: Op kinds per 50-op block.  Sorted by latency, the error configs and
-#: spectrum/lines (a few ms each) fill 0-58%, so the median sits inside
-#: them.  Crossing scans of graded size (CLI_SCANS, ~50-250 ms) and the
-#: figure1 scan fill the top, so the latencies around p90 form a continuous
-#: band; the two baseline-defect configs, counted as failures, take the top
-#: 4%.
+#: Op kinds per 48-op block.  Sorted by latency, the error configs and
+#: spectrum/lines (a few ms each) fill 0-60%, so the median sits inside
+#: them.  The seven validate configs (~140-170 ms, mostly LAPACK in the
+#: thread pool) and the figure1 scan fill the top 8 ranks, so p90 (rank 4.8
+#: from the top) sits inside the validate band.  On the 2-vCPU host these
+#: were tuned on, pure-Python ops slowed by up to 2x for minutes at a time
+#: while the LAPACK-bound validate ops held within ~10%, and a p90 inside
+#: large crossing scans spread across runs nearly as wide as its bound.
+#: The crossing scans are the smaller sizes (CLI_SCANS, ~40-75 ms), so
+#: even slowed they stay below the validate band.
 CLI_MIX = (
     ("spectrum", 12),
     ("lines", 12),
-    ("crossings", 10),
+    ("crossings", 6),
     ("invert", 5),
-    ("validate", 3),
+    ("validate", 7),
     ("figure1", 1),
     ("bad-unknown-key", 1),
     ("bad-missing-key", 1),
     ("bad-type", 1),
     ("dissociated", 1),
     ("homogeneous", 1),
-    ("spin-infinity", 1),
-    ("invert-nan", 1),
 )
 
-#: (spin, n_max, steps) of successive cli crossing scans, by cost.
+#: (spin, n_max, steps) of successive cli crossing scans, by cost: one
+#: entry per crossings op of a block.
 CLI_SCANS = (
-    (1.0, 3, 64), (1.5, 2, 64), (1.5, 1, 256), (2.5, 1, 64), (1.0, 2, 256),
-    (1.5, 3, 64), (2.5, 2, 64), (1.0, 3, 256), (2.5, 1, 256), (2.5, 3, 64),
+    (1.0, 3, 64), (1.5, 2, 64), (1.5, 2, 64), (1.5, 1, 256), (2.5, 1, 64), (1.0, 2, 256),
 )
 
-#: Distinct configs per cli run; the timed loop rotates through them.
-CLI_CONFIGS = 100
+#: Distinct configs per cli run (two blocks); the timed loop rotates
+#: through them.
+CLI_CONFIGS = 96
 
 _OUTPUTS = {
     "spectrum": ("levels.csv",),
@@ -389,14 +393,27 @@ _OUTPUTS = {
     "figure1": ("figure1_levels.csv", "figure1_crossings.csv"),
 }
 
-#: Baseline defects (ROADMAP item 4): how each of these configs fails at
-#: the parent commit instead of exiting 2.
+#: Baseline defects (ROADMAP item 4), reproduced by the cli defect probes:
+#: how each of these configs fails at the parent commit instead of exiting 2.
 _CLI_DEFECTS = {
     # json accepts Infinity; round(inf) in SpinSystem escapes as OverflowError
     "spin-infinity": lambda result, exc: isinstance(exc, OverflowError),
     # NaN lines reach the inversion, which exits 3 "bracket does not contain optimum"
     "invert-nan": lambda result, exc: exc is None and result[0] == 3,
 }
+
+
+def _well_posed_inversion(rng, spin):
+    """Inversion scenario without the two shapes on which
+    ``identify_frequency`` can miss the true minimum (see ``_invert_op``):
+    no folding line, and a bracket that the dissociation floor does not
+    clip.  The timed cli ops must all pass; the ``invert`` workload keeps
+    those shapes."""
+    while True:
+        system, field, n = _identifiable(rng, spin)
+        clipped = _omega_floor(system, field) > system.omega / 3.0
+        if not clipped and not _folds(system, field, n):
+            return system, field, n
 
 
 def _scenario_keys(system, field):
@@ -432,7 +449,7 @@ def _cli_config(kind, nth, rng):
         }
         return "crossings", cfg, 0
     if kind in ("invert", "invert-nan"):
-        system, field, n = _identifiable(rng, (1.0, 1.5, 2.5)[rng.integers(3)])
+        system, field, n = _well_posed_inversion(rng, (1.0, 1.5, 2.5)[rng.integers(3)])
         lines = [line.frequency_hz for line in pm_spec.transition_lines(system, field, n)]
         if kind == "invert-nan":
             lines[int(rng.integers(len(lines)))] = math.nan
@@ -442,7 +459,7 @@ def _cli_config(kind, nth, rng):
         }
         return "invert", cfg, (0 if kind == "invert" else 2)
     if kind == "validate":
-        system, field, _ = _scenario(rng, 1.0, n_checked=4)
+        system, field, _ = _scenario(rng, 2.5, n_checked=4)
         cfg = {
             **_scenario_keys(system, field),
             "levels": [[m, n] for m in system.levels() for n in range(4)],
@@ -545,21 +562,38 @@ def cli_ops(seed, workdir, size=CLI_CONFIGS):
     seen = {}
     for i, kind in enumerate(_schedule(CLI_MIX, size)):
         seen[kind] = seen.get(kind, -1) + 1
-        command, cfg, expected = _cli_config(kind, seen[kind], rng)
-        ident = f"cli-{i}-{kind}"
-        config_path = None
-        if cfg is not None:
-            config_path = os.path.join(workdir, f"{ident}.json")
-            with open(config_path, "w", encoding="utf-8") as fh:
-                json.dump(cfg, fh)
-        out_dir = os.path.join(workdir, ident)
-        ops.append(CliOp(ident, kind, command, config_path, out_dir, expected))
+        ops.append(_cli_op(f"cli-{i}-{kind}", kind, workdir, rng, seen[kind]))
     return ops
+
+
+def _cli_op(ident, kind, workdir, rng, nth=0):
+    command, cfg, expected = _cli_config(kind, nth, rng)
+    config_path = None
+    if cfg is not None:
+        config_path = os.path.join(workdir, f"{ident}.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+    return CliOp(ident, kind, command, config_path, os.path.join(workdir, ident), expected)
 
 
 def cli_warmup(workdir):
     return CliOp("cli-warmup", "figure1", "figure1", None,
                  os.path.join(workdir, "cli-warmup"), 0)
+
+
+def defect_probes(workload, workdir):
+    """Fixed, seed-independent ops that reproduce the documented baseline
+    defects of a listed workload.  Each fails at the parent commit, so the
+    timed loop leaves them out; ``run.py`` runs them once per run and
+    records whether each still reproduces its defect."""
+    if workload == "validate":
+        op = _tight_op(f"validate-defect-m{VALIDATE_DEFECT_M:+g}", VALIDATE_DEFECT_M)
+        return [replace(op, known_defect=lambda report, exc: isinstance(exc, ConvergenceError))]
+    if workload == "cli":
+        rng = np.random.default_rng([0, 5])
+        return [_cli_op(f"cli-defect-{kind}", kind, workdir, rng)
+                for kind in ("spin-infinity", "invert-nan")]
+    return []
 
 
 def build(workload, seed, workdir):
