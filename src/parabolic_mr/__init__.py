@@ -1,6 +1,6 @@
 """Spin-S harmonic oscillator in a parabolic magnetic field.
 
-Closed-form spectra and eigenfunctions, an independent finite-difference
+Closed-form spectra and eigenfunctions, an independent sinc-DVR
 diagonalization oracle, transition lines and level crossings, and the
 inverse problem of identifying the trap frequency from the spin-sublevel
 splittings of a single oscillator level.

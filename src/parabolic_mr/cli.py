@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .constants import (
@@ -36,7 +35,7 @@ from .core import (
     scaled_spin_number,
 )
 from .errors import ConvergenceError, DissociationError, PhysicsError, UnidentifiableError
-from .oracle import ValidationReport, validate_levels
+from .oracle import MIN_TOL, validate_levels
 from .spectroscopy import SELECTION_RULES, crossing_scan, identify_frequency, transition_lines
 
 EXIT_OK = 0
@@ -44,8 +43,6 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERIC = 4
-
-THREADS_ENV = "PARABOLIC_MR_THREADS"
 
 _REQUIRED_KEYS = ("mass", "gamma", "spin", "omega", "offset", "b0", "g", "gbar")
 _OPTIONAL_KEYS = (
@@ -203,8 +200,8 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
         raise ConfigError("key 'measured_lines_file' must be a string path")
 
     tol = _want_number(raw, "tol", optional=True)
-    if tol is not None and not (tol >= 1e-12):
-        raise ConfigError("tol must be at least 1e-12")
+    if tol is not None and not (tol >= MIN_TOL):
+        raise ConfigError(f"tol must be at least {MIN_TOL:g}")
 
     bracket = None
     lo = _want_number(raw, "bracket_lo", optional=True)
@@ -289,20 +286,6 @@ def read_lines_csv(path: str) -> list[float]:
     if not out:
         raise ConfigError(f"measured lines file {path} contains no data rows")
     return out
-
-
-def worker_count(n_tasks: int) -> int:
-    """Worker cap from PARABOLIC_MR_THREADS (0 or unset = auto)."""
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        requested = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if requested < 0:
-        raise ConfigError(f"{THREADS_ENV} must be nonnegative, got {requested}")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_tasks))
 
 
 def _emit(records, columns, out_dir: str, stem: str, fmt: str) -> str:
@@ -435,40 +418,17 @@ def _cmd_invert(scenario: Scenario, args) -> int:
 
 
 def _cmd_validate(scenario: Scenario, args) -> int:
-    levels = scenario.all_levels()
-    by_m: dict[float, list[int]] = {}
-    for m, n in levels:
-        by_m.setdefault(m, []).append(n)
-
-    def solve(mq: float):
-        return validate_levels(
-            scenario.system,
-            scenario.field,
-            [(mq, n) for n in by_m[mq]],
-            tol=scenario.tol,
-        )
-
-    sector_keys = sorted(by_m)
-    with ThreadPoolExecutor(max_workers=worker_count(len(sector_keys))) as pool:
-        reports = list(pool.map(solve, sector_keys))
-
-    records = tuple(r for report in reports for r in report.records)
-    sectors = tuple(s for report in reports for s in report.sectors)
-    merged = ValidationReport(
-        records,
-        sectors,
-        scenario.tol,
-        all(r.converged for r in reports),
-        max(r.max_rel_error for r in reports),
+    report = validate_levels(
+        scenario.system, scenario.field, scenario.all_levels(), tol=scenario.tol
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "validation.json")
-    write_json(path, merged.to_dict())
-    print(f"wrote {path} (max_rel_error={merged.max_rel_error:.3e})")
-    if not merged.passed():
+    write_json(path, report.to_dict())
+    print(f"wrote {path} (max_rel_error={report.max_rel_error:.3e})")
+    if not report.passed():
         print(
             f"ERROR {EXIT_VALIDATION_FAILED}: validation failed "
-            f"(max_rel_error={merged.max_rel_error:.3e} tol={scenario.tol:.3e})",
+            f"(max_rel_error={report.max_rel_error:.3e} tol={scenario.tol:.3e})",
             file=sys.stderr,
         )
         return EXIT_VALIDATION_FAILED

@@ -5,28 +5,30 @@ For a fixed spin projection M the Hamiltonian is
     H_M = -hbar^2/(2*mass) d^2/dx^2 + mass*omega^2*(x - a)^2/2
           - gamma*hbar*M*(b0 + g*x + gbar*x^2)
 
-It is discretized with the 3-point Laplacian on a uniform grid in the
-dimensionless coordinate u = x/lambda, lambda = sqrt(hbar/(mass*omega)),
-with energies in units of hbar*omega, giving a symmetric tridiagonal matrix
+It is represented in the sinc discrete variable representation (sinc-DVR)
+of Colbert & Miller, J. Chem. Phys. 96, 1982 (1992), on a uniform grid in
+the dimensionless coordinate u = x/lambda, lambda = sqrt(hbar/(mass*omega)),
+with energies in units of hbar*omega.  The potential is diagonal and the
+kinetic matrix is dense:
 
-    diagonal_i     = 1/du^2 + V_M(lambda*u_i)/(hbar*omega)
-    off_diagonal_i = -1/(2*du^2)
+    H_ij = T_ij + delta_ij * V_M(lambda*u_i)/(hbar*omega)
+    T_ij = 1/(2*du^2) * (pi^2/3 if i == j else 2*(-1)^(i-j)/(i-j)^2)
 
-Dirichlet walls sit just outside the grid; domains are sized so the
-analytic ground-state tail at the wall is below 1e-16 and wall error is
-negligible against the requested tolerance.
+This is the uniform-grid idea of the Fourier-grid Hamiltonian (Marston &
+Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  For the Gaussian-tailed
+bound states here the eigenvalues converge faster than any power of du, so
+about a hundred points reach 1e-11 relative for five levels.  Domains are
+sized so the analytic wavefunction tail at the grid edge is below 1e-16.
 
-Raw finite-difference eigenvalues carry an O(du^2) bias (they approach the
-continuum from below), so ``converged_spectrum`` refines du by factors of 2
-and Richardson-extrapolates to O(du^6) before checking agreement.  The
-eigensolver itself is bisection on Sturm sequences plus inverse iteration
-(LAPACK stebz/stein through scipy), chosen because only the few lowest
-levels are needed and the result is deterministic.
+``converged_spectrum`` grows the point count 1.5x per step on a fixed domain
+until two successive solves agree; each solve is a dense symmetric
+eigendecomposition (LAPACK through ``numpy.linalg``), which is
+deterministic.
 
 This module validates the closed forms in :mod:`parabolic_mr.core`; it never
 calls them for the quantities under test (the potential above is typed out
-directly), only for meshing hints (where to center the grid) and for the
-final unit conversion.
+directly), only for meshing hints (where to center the grid and how wide to
+make it).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .constants import HBAR, oscillator_length
 from .core import (
@@ -49,11 +50,21 @@ from .core import (
 )
 from .errors import ConvergenceError, DissociationError
 
-#: Hard cap on refinement size (matrix dimension).
-MAX_GRID_POINTS = 2**18 + 1
+#: Smallest relative tolerance ``converged_spectrum`` accepts.  Successive
+#: solves stop agreeing near 2e-13 relative (round-off in the dense
+#: eigensolver), so 0.1*tol must stay above that.
+MIN_TOL = 1e-11
+
+#: Smallest grid, and the first one ``converged_spectrum`` tries.
+MIN_GRID_POINTS = 64
+
+#: Cap on the grid size (matrix dimension) of one sector solve.  The dense
+#: float64 matrix takes 8*N^2 bytes, 32 MiB at the cap, and the eigensolver
+#: copies it once more.
+MAX_DVR_POINTS = 2048
 
 #: Tail margin beyond the classical turning point, in effective lengths.
-#: exp(-u^2/2) < 1e-16 requires u > 8.6; 9 keeps the wall error negligible.
+#: exp(-u^2/2) < 1e-16 requires u > 8.6; 9 keeps the edge error negligible.
 TAIL_MARGIN = 9.0
 
 
@@ -72,8 +83,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not (self.u_min < self.u_max):
             raise ValueError("grid too coarse: u_min must be below u_max")
-        if self.n_points < 64:
-            raise ValueError("grid too coarse: need at least 64 points")
+        if self.n_points < MIN_GRID_POINTS:
+            raise ValueError(f"grid too coarse: need at least {MIN_GRID_POINTS} points")
 
     @property
     def du(self) -> float:
@@ -85,34 +96,23 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:
-    """Symmetric tridiagonal discretization of H_M/(hbar*omega).
+    """Dense symmetric matrix of H_M/(hbar*omega).
 
     ``grid`` is None for synthetic matrices assembled directly in tests.
     """
 
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
+    hamiltonian: np.ndarray
     m_quantum: float = 0.0
     grid: Grid | None = None
 
     def __post_init__(self) -> None:
-        if self.diagonal.ndim != 1 or self.off_diagonal.ndim != 1:
-            raise ValueError("diagonal and off_diagonal must be 1-D arrays")
-        if self.off_diagonal.shape[0] != self.diagonal.shape[0] - 1:
-            raise ValueError("off_diagonal must have length n_points - 1")
+        shape = self.hamiltonian.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError("hamiltonian must be a square matrix")
 
-
-@dataclass(frozen=True)
-class RefinementStep:
-    """One grid level of the convergence history (energies in hbar*omega units)."""
-
-    n_points: int
-    du: float
-    eigenvalues: tuple[float, ...]
-    #: raw eigenvalue change against the previous (coarser) grid, or None
-    delta: tuple[float, ...] | None = None
-    #: observed convergence order log2(delta_prev/delta), ~2 for the 3-point stencil
-    order: tuple[float, ...] | None = None
+    def __len__(self) -> int:
+        """Matrix dimension (the number of grid points)."""
+        return self.hamiltonian.shape[0]
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,11 @@ class SectorConvergence:
     """Convergence record for one sector solve."""
 
     m_quantum: float
+    #: grid of the last (converged) solve
     grid: Grid
     converged: bool
-    steps: tuple[RefinementStep, ...]
-    #: Richardson-extrapolated eigenvalues, hbar*omega units
-    extrapolated: tuple[float, ...]
-
-    def order_estimates(self) -> list[float]:
-        out: list[float] = []
-        for step in self.steps:
-            if step.order is not None:
-                out.extend(v for v in step.order if math.isfinite(v))
-        return out
+    #: number of grid sizes solved, the converged one included
+    refinements: int
 
 
 @dataclass(frozen=True)
@@ -179,12 +172,7 @@ class ValidationReport:
                     "u_min": s.grid.u_min,
                     "u_max": s.grid.u_max,
                     "length_scale_m": s.grid.length_scale,
-                    "refinements": len(s.steps),
-                    "median_order": (
-                        float(np.median(s.order_estimates()))
-                        if s.order_estimates()
-                        else None
-                    ),
+                    "refinements": s.refinements,
                 }
                 for s in self.sectors
             ],
@@ -217,13 +205,22 @@ def auto_grid(
     return Grid(u_center - half_width, u_center + half_width, n_points, lam)
 
 
+def _kinetic_matrix(n_points: int, du: float) -> np.ndarray:
+    """Sinc-DVR matrix of -(1/2) d^2/du^2 on n_points uniform points."""
+    i = np.arange(n_points)
+    d = np.abs(i[:, None] - i[None, :])
+    sign = np.where(d % 2 == 0, 2.0, -2.0)
+    t = np.divide(sign, d * d, out=np.full(d.shape, math.pi**2 / 3.0), where=d > 0)
+    return t / (2.0 * du * du)
+
+
 def build_sector_hamiltonian(
     system: SpinSystem,
     field: FieldProfile,
     m: float | SpinLevelIndex,
     grid: Grid,
 ) -> SectorMatrix:
-    """3-point finite-difference matrix of H_M/(hbar*omega) on ``grid``."""
+    """Sinc-DVR matrix of H_M/(hbar*omega) on ``grid``."""
     mq = _projection(system, m)
     lam = oscillator_length(system.mass, system.omega)
     u = grid.points()
@@ -237,61 +234,36 @@ def build_sector_hamiltonian(
     v = trap - coupling
     if not np.all(np.isfinite(v)):
         raise ValueError("potential not finite on the grid domain")
-    du = grid.du
-    diagonal = 1.0 / du**2 + v
-    off_diagonal = np.full(grid.n_points - 1, -0.5 / du**2)
-    return SectorMatrix(diagonal, off_diagonal, mq, grid)
+    hamiltonian = _kinetic_matrix(grid.n_points, grid.du)
+    hamiltonian[np.diag_indices_from(hamiltonian)] += v
+    return SectorMatrix(hamiltonian, mq, grid)
 
 
-def _tridiagonal_eigh(
-    mat: SectorMatrix, k: int, tol: float, eigvals_only: bool
-):
-    try:
-        return eigh_tridiagonal(
-            mat.diagonal,
-            mat.off_diagonal,
-            eigvals_only=eigvals_only,
-            select="i",
-            select_range=(0, k - 1),
-            tol=tol,
-        )
-    except LinAlgError as exc:
-        raise ConvergenceError(f"eigenvector not converged: {exc}") from exc
+def _check_k(mat: SectorMatrix, k: int) -> None:
+    if not (1 <= k <= len(mat)):
+        raise ValueError(f"k={k} out of range for matrix of size {len(mat)}")
 
 
-def lowest_eigenpairs(
-    mat: SectorMatrix, k: int, tol: float = 1e-14
-) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest (eigenvalue, eigenvector) pairs of the tridiagonal matrix.
+def lowest_eigenpairs(mat: SectorMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest (eigenvalue, eigenvector) pairs of the symmetric matrix.
 
-    Eigenvalues ascend; ``tol`` is the absolute bisection tolerance in matrix
-    units.  Eigenvectors come back as columns normalized under the grid
-    quadrature weight (sum |psi_i|^2 du = 1; du = 1 for synthetic matrices),
-    with a deterministic sign (largest-magnitude component positive).
+    Eigenvalues ascend.  Eigenvectors come back as columns normalized under
+    the grid quadrature weight (sum |psi_i|^2 du = 1; du = 1 for synthetic
+    matrices), with a deterministic sign (largest-magnitude component
+    positive).
     """
-    n = mat.diagonal.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for matrix of size {n}")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    values, vectors = _tridiagonal_eigh(mat, k, tol, eigvals_only=False)
+    _check_k(mat, k)
+    values, vectors = np.linalg.eigh(mat.hamiltonian)
     du = mat.grid.du if mat.grid is not None else 1.0
-    vectors = vectors / math.sqrt(du)
-    for j in range(vectors.shape[1]):
-        lead = np.argmax(np.abs(vectors[:, j]))
-        if vectors[lead, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
-    return values, vectors
+    vectors = vectors[:, :k] / math.sqrt(du)
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
+    return values[:k], vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def lowest_eigenvalues(mat: SectorMatrix, k: int, tol: float = 1e-14) -> np.ndarray:
+def lowest_eigenvalues(mat: SectorMatrix, k: int) -> np.ndarray:
     """Values-only fast path of :func:`lowest_eigenpairs`."""
-    n = mat.diagonal.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for matrix of size {n}")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    return _tridiagonal_eigh(mat, k, tol, eigvals_only=True)
+    _check_k(mat, k)
+    return np.linalg.eigvalsh(mat.hamiltonian)[:k]
 
 
 def expectation_position(vec: np.ndarray, grid: Grid) -> float:
@@ -307,20 +279,20 @@ def converged_spectrum(
     m: float | SpinLevelIndex,
     k: int,
     tol: float = 1e-8,
-    n_points_start: int = 513,
 ) -> tuple[np.ndarray, SectorConvergence]:
-    """Grid-refined lowest k eigenvalues of sector M, in joules.
+    """Grid-converged lowest k eigenvalues of sector M, in joules.
 
-    Solves on grids with (n_points - 1) doubling each refinement, Richardson
-    extrapolates (depth 2, error O(du^6)), and stops once two successive
-    extrapolants agree per-eigenvalue to 0.1*tol relative (the comparison
-    scale is floored at half the sector level spacing so eigenvalues passing
-    through zero cannot stall the check).  Raises ``ConvergenceError`` if the
-    point cap is hit first and ``DissociationError`` for mbar >= 1.
+    Solves on grids of max(64, 2k) points and up, 1.5x more each step, and
+    stops once two successive solves agree per-eigenvalue to 0.1*tol
+    relative (the comparison scale is floored at half the sector level
+    spacing so eigenvalues passing through zero cannot stall the check).
+    Raises ``ValueError`` for tol below ``MIN_TOL``, ``ConvergenceError`` if
+    the next grid would exceed ``MAX_DVR_POINTS``, and ``DissociationError``
+    for mbar >= 1.
     """
     mq = _projection(system, m)
-    if tol < 1e-12:
-        raise ValueError("tol must be at least 1e-12")
+    if not (tol >= MIN_TOL):
+        raise ValueError(f"tol must be at least {MIN_TOL:g}")
     mbar = scaled_spin_number(system, field, mq)
     if mbar >= 1.0:
         raise DissociationError(
@@ -329,54 +301,23 @@ def converged_spectrum(
         )
     spacing = math.sqrt(1.0 - mbar)  # level spacing in hbar*omega units
 
-    raw: list[np.ndarray] = []
-    tables: list[list[np.ndarray]] = []
-    steps: list[RefinementStep] = []
-    grid: Grid | None = None
-    prev_diag: np.ndarray | None = None
-    base = n_points_start - 1
-    level = 0
-    while base * 2**level + 1 <= MAX_GRID_POINTS:
-        n_points = base * 2**level + 1
+    # a grid's highest eigenvalues are discretisation artefacts: start at 2k points
+    n_points = max(MIN_GRID_POINTS, 2 * k)
+    previous: np.ndarray | None = None
+    refinements = 0
+    while n_points <= MAX_DVR_POINTS:
         grid = auto_grid(system, field, mq, k, n_points)
-        mat = build_sector_hamiltonian(system, field, mq, grid)
-        values = lowest_eigenvalues(mat, k)
-        raw.append(values)
-
-        table = [values]
-        depth = min(level, 2)
-        for q in range(1, depth + 1):
-            table.append(
-                ((4.0**q) * table[q - 1] - tables[level - 1][q - 1]) / (4.0**q - 1.0)
-            )
-        tables.append(table)
-        diag = table[-1]
-
-        delta = order = None
-        if level >= 1:
-            d_now = raw[level] - raw[level - 1]
-            delta = tuple(float(v) for v in d_now)
-            if level >= 2:
-                d_prev = raw[level - 1] - raw[level - 2]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    order = tuple(
-                        float(v) for v in np.log2(np.abs(d_prev) / np.abs(d_now))
-                    )
-        steps.append(
-            RefinementStep(n_points, grid.du, tuple(float(v) for v in values), delta, order)
-        )
-
-        if prev_diag is not None and level >= 3:
-            scale = np.maximum(np.abs(diag), 0.5 * spacing)
-            if np.all(np.abs(diag - prev_diag) <= 0.1 * tol * scale):
-                report = SectorConvergence(
-                    mq, grid, True, tuple(steps), tuple(float(v) for v in diag)
-                )
-                return HBAR * system.omega * diag, report
-        prev_diag = diag
-        level += 1
+        values = lowest_eigenvalues(build_sector_hamiltonian(system, field, mq, grid), k)
+        refinements += 1
+        if previous is not None:
+            scale = np.maximum(np.abs(values), 0.5 * spacing)
+            if np.all(np.abs(values - previous) <= 0.1 * tol * scale):
+                report = SectorConvergence(mq, grid, True, refinements)
+                return HBAR * system.omega * values, report
+        previous = values
+        n_points = n_points * 3 // 2
     raise ConvergenceError(
-        f"oracle did not converge for m_quantum={mq} within {MAX_GRID_POINTS} points"
+        f"oracle did not converge for m_quantum={mq} within {MAX_DVR_POINTS} points"
     )
 
 

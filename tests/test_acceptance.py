@@ -65,7 +65,7 @@ def test_criterion_2_center_shift_power_adjudicated():
         rng = np.random.default_rng(42)
         for _ in range(20):
             system, field, mq = random_centered_scenario(rng)
-            grid = auto_grid(system, field, mq, 1, 8193)
+            grid = auto_grid(system, field, mq, 1, 65)
             mat = build_sector_hamiltonian(system, field, mq, grid)
             _, vectors = lowest_eigenpairs(mat, 1)
             measured = expectation_position(vectors[:, 0], grid)

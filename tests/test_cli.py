@@ -13,10 +13,10 @@ from parabolic_mr.cli import (
     load_config,
     read_lines_csv,
     run,
-    worker_count,
     write_csv,
 )
 from parabolic_mr.constants import TWO_PI
+from parabolic_mr.oracle import MIN_TOL
 
 BASE_CONFIG = {
     "mass": 1e-26,
@@ -27,6 +27,18 @@ BASE_CONFIG = {
     "b0": 0.001,
     "g": 0.002,
     "gbar": 10.0,
+}
+
+#: The README library-quickstart trap (S=3/2, four sectors).
+QUICKSTART = {
+    "mass": 2e-26,
+    "gamma": 8e10,
+    "spin": 1.5,
+    "omega": 1.1e5,
+    "offset": 2e-6,
+    "b0": 0.0,
+    "g": 0.002,
+    "gbar": 40.0,
 }
 
 
@@ -244,23 +256,20 @@ class TestValidateCommand:
         assert payload["converged"] is True
         assert len(payload["records"]) == 6  # three projections x two levels
 
-    def test_threads_env_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PARABOLIC_MR_THREADS", "2")
-        config = write_config(tmp_path, n_max=0)
+    def test_quickstart_validates_at_tol_floor(self, tmp_path, capsys):
+        config = write_config(tmp_path, **QUICKSTART, tol=MIN_TOL)
         out = tmp_path / "out"
         assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "validation.json").read_text())
+        assert payload["passed"] is True
+        assert len(payload["sectors"]) == 4  # every quickstart sector
 
-    def test_threads_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("PARABOLIC_MR_THREADS", "many")
-        with pytest.raises(ConfigError):
-            worker_count(4)
-
-    def test_worker_count_caps(self, monkeypatch):
-        monkeypatch.setenv("PARABOLIC_MR_THREADS", "3")
-        assert worker_count(8) == 3
-        assert worker_count(2) == 2
-        monkeypatch.setenv("PARABOLIC_MR_THREADS", "0")
-        assert worker_count(1) == 1
+    def test_tol_below_floor_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, tol=0.5 * MIN_TOL)
+        code = run(["validate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ERROR 2: ") and "tol" in err
 
 
 class TestFigure1Command:
