@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import (
     ELECTRON_MASS,
     GAMMA_ELECTRON,
@@ -35,7 +37,7 @@ from .core import (
     scaled_spin_number,
 )
 from .errors import ConvergenceError, DissociationError, PhysicsError, UnidentifiableError
-from .oracle import MIN_TOL, validate_levels
+from .oracle import MAX_DVR_POINTS, MIN_TOL, validate_levels
 from .spectroscopy import SELECTION_RULES, crossing_scan, identify_frequency, transition_lines
 
 EXIT_OK = 0
@@ -64,6 +66,23 @@ _OPTIONAL_KEYS = (
     "tol",
     "scan_points",
 )
+
+
+#: Largest oscillator number n a config may name (``n_max``, ``fixed_n``,
+#: ``levels``): the oracle's first solve of a sector's n + 1 lowest levels
+#: takes 2(n + 1) grid points, which must fit within ``MAX_DVR_POINTS``.
+MAX_LEVEL_N = MAX_DVR_POINTS // 2 - 1
+
+#: Largest ``scan_steps`` and ``scan_points``; scans cost time linear in them.
+MAX_SCAN_STEPS = 2**16
+
+#: Largest accepted value of each integer key.
+_INT_CAPS = {
+    "n_max": MAX_LEVEL_N,
+    "fixed_n": MAX_LEVEL_N,
+    "scan_steps": MAX_SCAN_STEPS,
+    "scan_points": MAX_SCAN_STEPS,
+}
 
 
 class ConfigError(ValueError):
@@ -99,6 +118,21 @@ class Scenario:
         return [(m, n) for m in self.system.levels() for n in range(self.n_max + 1)]
 
 
+def _finite_float(value, what: str) -> float:
+    """A JSON number as a finite float; ``what`` names it in the error.
+
+    json parses ``Infinity``, ``NaN`` and overflowing literals such as
+    ``1e400`` to non-finite floats, and huge integer literals overflow float.
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number")
+    return number
+
+
 def _want_number(raw: dict, key: str, optional: bool = False):
     if key not in raw:
         if optional:
@@ -107,7 +141,7 @@ def _want_number(raw: dict, key: str, optional: bool = False):
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} must be a number")
-    return float(value)
+    return _finite_float(value, f"key {key!r}")
 
 
 def _want_int(raw: dict, key: str, default: int) -> int:
@@ -116,6 +150,8 @@ def _want_int(raw: dict, key: str, default: int) -> int:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r} must be an integer")
+    if value > _INT_CAPS[key]:
+        raise ConfigError(f"key {key!r} must be at most {_INT_CAPS[key]}")
     return value
 
 
@@ -178,7 +214,9 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
                 or not isinstance(item[1], int)
             ):
                 raise ConfigError("each entry of 'levels' must be [m_quantum, n]")
-            parsed.append((float(item[0]), item[1]))
+            if item[1] > MAX_LEVEL_N:
+                raise ConfigError(f"each n in 'levels' must be at most {MAX_LEVEL_N}")
+            parsed.append((_finite_float(item[0], "each M in 'levels'"), item[1]))
         levels = tuple(parsed)
 
     measured = None
@@ -189,7 +227,7 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
         for item in given:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigError("key 'measured_lines' must contain only numbers")
-        measured = tuple(float(v) for v in given)
+        measured = tuple(_finite_float(v, "each entry of 'measured_lines'") for v in given)
 
     rule = raw.get("rule", "deltaM1_fixed_n")
     if rule not in SELECTION_RULES:
@@ -282,7 +320,10 @@ def read_lines_csv(path: str) -> list[float]:
         parts = row.split(",")
         if len(parts) != len(header):
             raise ConfigError(f"malformed row in measured lines file {path}")
-        out.append(float(parts[idx]))
+        value = float(parts[idx])
+        if not math.isfinite(value):
+            raise ConfigError(f"measured lines file {path} holds a non-finite frequency")
+        out.append(value)
     if not out:
         raise ConfigError(f"measured lines file {path} contains no data rows")
     return out
@@ -475,13 +516,15 @@ def _cmd_figure1(scenario: Scenario | None, args) -> int:
     g_lo, g_hi = base.gbar_min, base.gbar_max
     gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
 
-    columns = ["gbar"] + [f"E_J_m{m:+g}_n{n}" for m, n in sorted(levels)]
-    rows = []
-    for g in gs:
-        fld = replace(base.field, gbar=g)
-        rows.append(
-            tuple([g] + [energy_level(base.system, fld, m, n) for m, n in sorted(levels)])
-        )
+    ordered = sorted(levels)
+    columns = ["gbar"] + [f"E_J_m{m:+g}_n{n}" for m, n in ordered]
+    table = energy_level(
+        base.system,
+        replace(base.field, gbar=np.array(gs)[:, None]),
+        np.array([m for m, _ in ordered]),
+        np.array([n for _, n in ordered], dtype=int),
+    )
+    rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
     os.makedirs(args.out, exist_ok=True)
     levels_path = os.path.join(args.out, "figure1_levels.csv")
     write_csv(levels_path, columns, rows)

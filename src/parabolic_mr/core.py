@@ -13,14 +13,21 @@ Everything here is exact closed form; the grid diagonalization in
 :mod:`parabolic_mr.oracle` independently validates each expression.
 Internally energies are handled in units of hbar*omega and lengths in units
 of sqrt(hbar/(mass*omega)); joules and meters appear only at the API surface.
+
+``scaled_spin_number`` and ``energy_level`` also evaluate over numpy arrays:
+``SpinSystem.omega``, ``FieldProfile.gbar``, M and n may each be an array,
+and the result broadcasts over them.  Scalars and arrays run the same
+expression, and each element of an array result is bit-identical to the
+scalar call on that element's values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from numpy import ndarray
 
 from .constants import HBAR, oscillator_length
 from .errors import DissociationError
@@ -30,6 +37,37 @@ from .errors import DissociationError
 MAX_HERMITE_ORDER = 200
 
 
+def _finite(x) -> bool:
+    """True when a number, or every element of a numpy array, is finite."""
+    if isinstance(x, ndarray):
+        return bool(np.isfinite(x).all())
+    return math.isfinite(x)
+
+
+def _positive_finite(x) -> bool:
+    """True when a number, or every element of a numpy array, is positive and finite."""
+    if isinstance(x, ndarray):
+        return bool(((x > 0.0) & np.isfinite(x)).all())
+    return x > 0.0 and math.isfinite(x)
+
+
+def _square(x):
+    """x**2 by Python's float power, elementwise over a numpy array.
+
+    Python's ``**`` calls libm ``pow``, which differs in the last bit from
+    numpy's ``x*x`` squaring for some doubles; squaring each element the
+    Python way keeps array results bit-identical to scalar ones.
+    """
+    if isinstance(x, ndarray):
+        return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**2
+
+
+def _sqrt(x):
+    """math.sqrt, or np.sqrt over a numpy array (both correctly rounded)."""
+    return np.sqrt(x) if isinstance(x, ndarray) else math.sqrt(x)
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Particle and trap parameters.
@@ -37,7 +75,8 @@ class SpinSystem:
     mass: kg; gamma: signed gyromagnetic ratio, rad/(s*T); spin: half-integer
     S >= 0; omega: trap angular frequency, rad/s; offset: position of the
     potential minimum, m; sample_half_length: optional sample half-size l, m
-    (when given, the offset must satisfy |offset| < l).
+    (when given, the offset must satisfy |offset| < l).  omega may be a numpy
+    array of frequencies, over which the closed forms evaluate elementwise.
     """
 
     mass: float
@@ -46,11 +85,14 @@ class SpinSystem:
     omega: float
     offset: float = 0.0
     sample_half_length: float | None = None
+    #: omega**2 by Python's float power (see :func:`_square`), squared once
+    #: here so every closed form reads the same value for scalars and arrays.
+    _omega_squared: float = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError("invalid system: mass must be positive and finite")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+        if not _positive_finite(self.omega):
             raise ValueError("invalid system: omega must be positive and finite")
         if not math.isfinite(self.gamma):
             raise ValueError("invalid system: gamma must be finite")
@@ -66,6 +108,7 @@ class SpinSystem:
                 raise ValueError(
                     "invalid system: |offset| must be smaller than sample_half_length"
                 )
+        object.__setattr__(self, "_omega_squared", _square(self.omega))
 
     def levels(self) -> tuple[float, ...]:
         """All spin projections -S, -S+1, ..., S (exact half-integers)."""
@@ -78,7 +121,8 @@ class FieldProfile:
     """Field coefficients of B(x) = b0 + g*x + gbar*x^2.
 
     b0: T; g: linear gradient, T/m; gbar: second-derivative parameter, T/m^2.
-    No sign restrictions.
+    No sign restrictions.  gbar may be a numpy array of values, over which the
+    closed forms evaluate elementwise.
     """
 
     b0: float
@@ -87,7 +131,7 @@ class FieldProfile:
 
     def __post_init__(self) -> None:
         for name in ("b0", "g", "gbar"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"invalid field: {name} must be finite")
 
 
@@ -147,7 +191,21 @@ class EnergyDecomposition:
 
 
 def _projection(system: SpinSystem, m: float | SpinLevelIndex) -> float:
-    """Validate M against the system's spin and return it as a float."""
+    """Validate M against the system's spin and return it as a float.
+
+    A numpy array of projections is checked elementwise and returned as a
+    float array.
+    """
+    if isinstance(m, ndarray):
+        mq = m.astype(float)
+        steps = system.spin - mq
+        bad = (steps < 0.0) | (mq < -system.spin) | (steps != np.round(steps))
+        if bad.any():
+            raise ValueError(
+                f"m_quantum={float(mq[bad][0])} is not a valid projection "
+                f"for spin={system.spin}"
+            )
+        return mq
     mq = m.m_quantum if isinstance(m, SpinLevelIndex) else float(m)
     steps = system.spin - mq
     if steps < 0.0 or mq < -system.spin or steps != round(steps):
@@ -158,9 +216,34 @@ def _projection(system: SpinSystem, m: float | SpinLevelIndex) -> float:
 
 
 def _require_int(n: int, name: str = "n") -> int:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer")
-    return int(n)
+    """Validate a nonnegative integer, or a numpy integer array of them."""
+    if isinstance(n, (int, np.integer)):
+        if n >= 0:
+            return int(n)
+    elif isinstance(n, ndarray) and n.dtype.kind in "iu" and not (n < 0).any():
+        return n
+    raise ValueError(f"{name} must be a nonnegative integer")
+
+
+def _require_bound(mbar, mq) -> None:
+    """Raise :class:`DissociationError` if a sector has mbar >= 1.
+
+    Over arrays, the error names the first unbound element in C order,
+    the one a scalar loop over the same values would have stopped at.
+    """
+    unbound = mbar >= 1.0
+    if isinstance(unbound, ndarray):
+        if not unbound.any():
+            return
+        first = int(np.flatnonzero(unbound)[0])
+        mbar = float(mbar.flat[first])
+        mq = float(np.broadcast_to(mq, unbound.shape).flat[first])
+    elif not unbound:
+        return
+    raise DissociationError(
+        f"dissociation: effective frequency imaginary for m_quantum={mq} "
+        f"(mbar={mbar})"
+    )
 
 
 def hermite(n: int, xi):
@@ -218,12 +301,16 @@ def oscillator_wavefunction(n: int, omega: float, mass: float, x):
     return float(val) if scalar else val
 
 
+def _mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
+    """mbar for an already validated projection (or array of them)."""
+    return 2.0 * system.gamma * field.gbar * HBAR * mq / (system._omega_squared * system.mass)
+
+
 def scaled_spin_number(
     system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
 ) -> float:
     """mbar = 2*gamma*gbar*hbar*M / (omega^2 * mass); may carry either sign."""
-    mq = _projection(system, m)
-    return 2.0 * system.gamma * field.gbar * HBAR * mq / (system.omega**2 * system.mass)
+    return _mbar(system, field, _projection(system, m))
 
 
 def effective_frequency(
@@ -232,11 +319,7 @@ def effective_frequency(
     """Sector frequency omega*sqrt(1 - mbar); raises once mbar >= 1."""
     mq = _projection(system, m)
     mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"dissociation: effective frequency imaginary for m_quantum={mq} "
-            f"(mbar={mbar})"
-        )
+    _require_bound(mbar, mq)
     return system.omega * math.sqrt(1.0 - mbar)
 
 
@@ -314,18 +397,16 @@ def energy_level(
         - gamma*(b0 + g*a + gbar*a^2)*hbar*M
         - gamma^2*(g + 2*gbar*a)^2*hbar^2*M^2 / (2*mass*omega_eff^2)
 
-    Raises :class:`DissociationError` when mbar >= 1 for this M.
+    Raises :class:`DissociationError` when mbar >= 1 for this M.  Any of
+    system.omega, field.gbar, ``m`` and ``n`` may be numpy arrays; the
+    energies then come back as an array of their broadcast shape.
     """
     mq = _projection(system, m)
     n = _require_int(n)
-    mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"dissociation: effective frequency imaginary for m_quantum={mq} "
-            f"(mbar={mbar})"
-        )
+    mbar = _mbar(system, field, mq)
+    _require_bound(mbar, mq)
     # Dimensionless pieces in units of hbar*omega; scale back once at the end.
-    quantum = math.sqrt(1.0 - mbar) * (n + 0.5)
+    quantum = _sqrt(1.0 - mbar) * (n + 0.5)
     zeeman = system.gamma * _field_at_offset(system, field) * mq / system.omega
     slope = system.gamma * _gradient_at_offset(system, field) * mq / system.omega
     shift = slope * slope * HBAR / (2.0 * system.mass * system.omega * (1.0 - mbar))
@@ -358,11 +439,7 @@ def energy_decomposition(
     if field.gbar == 0.0:
         raise ValueError("decomposition undefined: requires gbar != 0")
     mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"dissociation: effective frequency imaginary for m_quantum={mq} "
-            f"(mbar={mbar})"
-        )
+    _require_bound(mbar, mq)
     a = system.offset
     # The (g/gbar) ratios are folded away via mbar/gbar = 2*gamma*hbar*M/(omega^2*mass),
     # which keeps every term finite as gbar -> 0 (each is algebraically gbar-free
@@ -388,11 +465,7 @@ def eigenfunction_center(
     """
     mq = _projection(system, m)
     mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"dissociation: effective frequency imaginary for m_quantum={mq} "
-            f"(mbar={mbar})"
-        )
+    _require_bound(mbar, mq)
     shift = (
         system.gamma
         * _gradient_at_offset(system, field)

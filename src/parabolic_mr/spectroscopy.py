@@ -10,12 +10,21 @@ difference of eigenvalues rather than by subtracting two large energies;
 besides avoiding cancellation error, this makes the homogeneous-field line
 set (g = gbar = 0) exactly independent of omega, bit for bit, which is the
 physical statement that a uniform field cannot reveal the trap frequency.
+
+Scans run as numpy array evaluations of the closed forms: a crossing scan
+evaluates each level pair over the whole gbar grid in one call and bisects
+all bracketed sign changes together, and the inversion's coarse omega scan
+evaluates every scan point's lines at once.  Each array element is
+bit-identical to the scalar evaluation, so a scan returns exactly what a
+point-by-point loop would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .constants import HBAR, TWO_PI
 from .core import (
@@ -24,8 +33,10 @@ from .core import (
     SpinSystem,
     _gradient_at_offset,
     _field_at_offset,
+    _mbar,
     _projection,
     _require_int,
+    _sqrt,
     energy_level,
     scaled_spin_number,
 )
@@ -36,6 +47,10 @@ SELECTION_RULES = ("deltaM1_fixed_n", "deltaN1_fixed_M", "all_pairs_within")
 #: |delta E| dips below this fraction of the level scale without a sign flip
 #: are flagged as possible tangencies (even-order contacts are not crossings).
 TANGENCY_FRACTION = 1e-6
+
+#: Bisection steps per bracketed crossing; a bracket still open after them is
+#: reported at its midpoint with ``converged=False``.
+MAX_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -53,13 +68,18 @@ class TransitionLine:
 
 @dataclass(frozen=True)
 class CrossingPoint:
-    """A gbar value where two labeled levels coincide."""
+    """A gbar value where two labeled levels coincide.
+
+    ``converged`` is False when bisection hit ``MAX_BISECTION_STEPS`` before
+    meeting its stop rule; ``gbar`` is then the last bracket's midpoint.
+    """
 
     gbar: float
     level_a: tuple[float, int]
     level_b: tuple[float, int]
     energy: float
     bracket_width: float
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -122,14 +142,18 @@ def _pair_delta_e(
     level_a: tuple[float, int],
     level_b: tuple[float, int],
 ) -> float:
-    """Signed E_a - E_b with the common Zeeman and shift factors cancelled."""
+    """Signed E_a - E_b with the common Zeeman and shift factors cancelled.
+
+    Like :func:`energy_level`, it broadcasts when system.omega, field.gbar or
+    a level's M and n are numpy arrays.
+    """
     (ma, na), (mb, nb) = level_a, level_b
-    ra = math.sqrt(1.0 - scaled_spin_number(system, field, ma))
-    rb = math.sqrt(1.0 - scaled_spin_number(system, field, mb))
+    ra = _sqrt(1.0 - _mbar(system, field, _projection(system, ma)))
+    rb = _sqrt(1.0 - _mbar(system, field, _projection(system, mb)))
     osc = HBAR * system.omega * ((na + 0.5) * ra - (nb + 0.5) * rb)
     zeeman = system.gamma * _field_at_offset(system, field) * HBAR * (ma - mb)
     slope = system.gamma * _gradient_at_offset(system, field)
-    shift_scale = slope * slope * HBAR * HBAR / (2.0 * system.mass * system.omega**2)
+    shift_scale = slope * slope * HBAR * HBAR / (2.0 * system.mass * system._omega_squared)
     shift = shift_scale * (ma * ma / (ra * ra) - mb * mb / (rb * rb))
     return osc - zeeman - shift
 
@@ -235,6 +259,11 @@ def crossing_scan(
     intersection of all sectors' stability intervals; pairs that are
     degenerate over the whole scan are reported separately, as are |delta E|
     dips without a sign flip (possible tangencies).
+
+    The grid is evaluated as arrays, one (pairs x grid) block per first level
+    of a pair, so memory stays O(levels x steps); all brackets are then
+    bisected together, each with the stop rule above.  A bracket still open
+    after ``MAX_BISECTION_STEPS`` comes back with ``converged=False``.
     """
     level_list = [( _projection(system, m), _require_int(nn)) for m, nn in levels]
     if not level_list:
@@ -259,66 +288,120 @@ def crossing_scan(
     if not (g_lo < g_hi):
         raise DissociationError("scan range entirely dissociated for the requested levels")
 
-    def energy(level: tuple[float, int], gbar: float) -> float:
-        return energy_level(system, replace(field_base, gbar=gbar), level[0], level[1])
-
-    def diff(pair, gbar: float) -> float:
-        return _pair_delta_e(system, replace(field_base, gbar=gbar), pair[0], pair[1])
-
     gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
     g_scale = max(abs(g_lo), abs(g_hi))
+    grid = replace(field_base, gbar=np.array(gs))
+    ms = np.array([mq for mq, _ in level_list])
+    ns = np.array([nn for _, nn in level_list])
+    energies = energy_level(system, grid, ms[:, None], ns[:, None])  # (levels, grid)
+    e_abs = np.abs(energies[:, 0])
+    inside = np.zeros(steps, dtype=bool)  # 0 < idx < steps - 1
+    inside[1 : steps - 1] = True
 
     crossings: list[CrossingPoint] = []
     degenerate = []
     tangencies = []
-    for i in range(len(level_list)):
-        for j in range(i + 1, len(level_list)):
+    brackets = []  # (first level, second level, a, b, d(a)) of each sign change
+    for i in range(len(level_list) - 1):
+        js = np.arange(i + 1, len(level_list))
+        ds = _pair_delta_e(system, grid, level_list[i], (ms[js, None], ns[js, None]))
+        d_a, d_b = ds[:, :-1], ds[:, 1:]
+        zero_a, zero_b = d_a == 0.0, d_b == 0.0
+        live = ~zero_a & ~zero_b
+        flips = live & ((d_a > 0.0) != (d_b > 0.0))
+        # tangency candidates: |d| dips to a local minimum below
+        # TANGENCY_FRACTION of the level scale without changing sign
+        abs_ds = np.abs(ds)
+        e_scale = np.maximum(e_abs[i], e_abs[js])
+        dips = (
+            live
+            & ~flips
+            & (np.minimum(abs_ds[:, :-1], abs_ds[:, 1:]) < TANGENCY_FRACTION * e_scale[:, None])
+            & inside
+        )
+        dips[:, 1:] &= (abs_ds[:, 1:-1] <= abs_ds[:, :-2]) & (abs_ds[:, 1:-1] <= abs_ds[:, 2:])
+        degenerate_rows = (ds == 0.0).all(axis=1)
+        for row, j in enumerate(js.tolist()):
             pair = (level_list[i], level_list[j])
-            ds = [diff(pair, g) for g in gs]
-            e_scale = max(abs(energy(pair[0], gs[0])), abs(energy(pair[1], gs[0])))
-            if all(d == 0.0 for d in ds):
+            if degenerate_rows[row]:
                 degenerate.append(pair)
                 continue
-            for idx in range(steps):
-                d_a, d_b = ds[idx], ds[idx + 1]
-                if d_a == 0.0:
-                    if idx == 0:
-                        crossings.append(
-                            CrossingPoint(gs[idx], pair[0], pair[1], energy(pair[0], gs[idx]), 0.0)
-                        )
-                    continue
-                if d_b == 0.0:
-                    crossings.append(
-                        CrossingPoint(gs[idx + 1], pair[0], pair[1], energy(pair[0], gs[idx + 1]), 0.0)
-                    )
-                    continue
-                if (d_a > 0.0) == (d_b > 0.0):
-                    interior = min(abs(d_a), abs(d_b))
-                    if interior < TANGENCY_FRACTION * e_scale and 0 < idx < steps - 1:
-                        if abs(ds[idx]) <= abs(ds[idx - 1]) and abs(ds[idx]) <= abs(ds[idx + 1]):
-                            tangencies.append((gs[idx], pair))
-                    continue
-                a, b, fa = gs[idx], gs[idx + 1], d_a
-                for _ in range(200):
-                    mid = 0.5 * (a + b)
-                    fm = diff(pair, mid)
-                    e_a, e_b = energy(pair[0], mid), energy(pair[1], mid)
-                    width_ok = (b - a) <= 1e-10 * max(abs(a), abs(b), g_scale)
-                    energy_ok = abs(e_a - e_b) <= 1e-10 * max(abs(e_a), abs(e_b))
-                    if (width_ok and energy_ok) or fm == 0.0:
-                        crossings.append(CrossingPoint(mid, pair[0], pair[1], e_a, b - a))
-                        break
-                    if (fm > 0.0) == (fa > 0.0):
-                        a, fa = mid, fm
-                    else:
-                        b = mid
-                else:
-                    crossings.append(
-                        CrossingPoint(0.5 * (a + b), pair[0], pair[1], energy(pair[0], 0.5 * (a + b)), b - a)
-                    )
+            if zero_a[row, 0]:
+                crossings.append(CrossingPoint(gs[0], *pair, float(energies[i, 0]), 0.0))
+            for idx in np.flatnonzero(~zero_a[row] & zero_b[row]).tolist():
+                crossings.append(
+                    CrossingPoint(gs[idx + 1], *pair, float(energies[i, idx + 1]), 0.0)
+                )
+            for idx in np.flatnonzero(dips[row]).tolist():
+                tangencies.append((gs[idx], pair))
+            brackets.extend(
+                (i, j, gs[idx], gs[idx + 1], float(ds[row, idx]))
+                for idx in np.flatnonzero(flips[row]).tolist()
+            )
 
+    if brackets:
+        crossings.extend(
+            _bisect_crossings(system, field_base, level_list, ms, ns, brackets, g_scale)
+        )
     crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
     return CrossingScanResult(tuple(crossings), tuple(degenerate), tuple(tangencies))
+
+
+def _bisect_crossings(
+    system: SpinSystem,
+    field_base: FieldProfile,
+    level_list: list[tuple[float, int]],
+    ms: np.ndarray,
+    ns: np.ndarray,
+    brackets: list[tuple[int, int, float, float, float]],
+    g_scale: float,
+) -> list[CrossingPoint]:
+    """Bisect every bracketed sign change of a crossing scan at once.
+
+    ``brackets`` holds (first level, second level, a, b, E_first - E_second
+    at a), the levels as indices into ``level_list`` and its M and n arrays
+    ``ms`` and ``ns``.  Each step evaluates all open brackets' midpoints as
+    one array; a bracket closes, exactly as a scalar bisection of it would,
+    once its width is at most 1e-10 * max(|a|, |b|, g_scale) and |E_a - E_b|
+    is at most 1e-10 * max(|E_a|, |E_b|), or when the difference at the
+    midpoint is zero.
+    """
+    first, second, a, b, fa = (np.array(column) for column in zip(*brackets))
+    found = []
+    for _ in range(MAX_BISECTION_STEPS):
+        if not len(a):
+            break
+        level_a, level_b = (ms[first], ns[first]), (ms[second], ns[second])
+        mid = 0.5 * (a + b)
+        field = replace(field_base, gbar=mid)
+        fm = _pair_delta_e(system, field, level_a, level_b)
+        e_a = energy_level(system, field, *level_a)
+        e_b = energy_level(system, field, *level_b)
+        width_ok = (b - a) <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
+        energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
+        done = (width_ok & energy_ok) | (fm == 0.0)
+        for k in np.flatnonzero(done).tolist():
+            found.append(
+                CrossingPoint(
+                    float(mid[k]), level_list[first[k]], level_list[second[k]],
+                    float(e_a[k]), float(b[k] - a[k]),
+                )
+            )
+        right = (fm > 0.0) == (fa > 0.0)  # the sign change lies right of mid
+        a, b, fa = np.where(right, mid, a), np.where(right, b, mid), np.where(right, fm, fa)
+        keep = ~done
+        a, b, fa, first, second = a[keep], b[keep], fa[keep], first[keep], second[keep]
+    if len(a):
+        mid = 0.5 * (a + b)
+        e_a = energy_level(system, replace(field_base, gbar=mid), ms[first], ns[first])
+        found.extend(
+            CrossingPoint(
+                float(mid[k]), level_list[first[k]], level_list[second[k]],
+                float(e_a[k]), float(b[k] - a[k]), converged=False,
+            )
+            for k in range(len(a))
+        )
+    return found
 
 
 def regime_weights(
@@ -373,6 +456,44 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _line_misfit(model: list[float], measured: list[float]) -> float:
+    """RMS misfit (Hz) between sorted model and measured line frequencies.
+
+    Lines pair up in sorted order when both lists have the same length;
+    otherwise each measured line is matched to its nearest model line.
+    """
+    if len(model) == len(measured):
+        sq = sum((f - y) ** 2 for f, y in zip(model, measured))
+    else:
+        sq = sum(min((f - y) ** 2 for f in model) for y in measured)
+    return math.sqrt(sq / len(measured))
+
+
+def _scan_residuals(
+    measured: list[float],
+    system_template: SpinSystem,
+    field: FieldProfile,
+    n: int,
+    omegas: list[float],
+) -> list[float]:
+    """:func:`_line_misfit` of level n's adjacent-M lines at each omega.
+
+    All (omegas x 2S) line energies come from one array evaluation of
+    :func:`_pair_delta_e`; each equals, bit for bit, the line
+    :func:`transition_lines` gives at that omega.  Every sector must be
+    bound at each omega: mbar falls as 1/omega^2, so checking the smallest
+    one covers the scan.
+    """
+    ladder = system_template.levels()
+    _check_sectors_stable(replace(system_template, omega=min(omegas)), field, ladder)
+    scan = replace(system_template, omega=np.array(omegas)[:, None])
+    upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
+    delta_e = _pair_delta_e(scan, field, (upper, n), (lower, n))
+    delta_e = np.where(delta_e >= 0.0, delta_e, -delta_e)  # the magnitude, as _make_line takes it
+    lines = np.sort(delta_e / (TWO_PI * HBAR), axis=1)
+    return [_line_misfit(model, measured) for model in lines.tolist()]
+
+
 def identify_frequency(
     lines_hz,
     system_template: SpinSystem,
@@ -391,6 +512,9 @@ def identify_frequency(
     between measured and model lines (matched in sorted order when the full
     2S-line set is given, otherwise to the nearest model line) is minimized
     by a coarse scan followed by golden-section refinement to relative 1e-10.
+    The coarse scan evaluates all ``scan_points`` x 2S model lines as one
+    array (see :func:`_scan_residuals`); the refinement evaluates one omega
+    at a time.
 
     With g = gbar = 0 the line set carries no frequency information and the
     result comes back with ``identifiable=False`` ("homogeneous field"); the
@@ -425,20 +549,13 @@ def identify_frequency(
                 "bracket does not contain optimum: entire bracket dissociated"
             )
 
-    def model(omega: float) -> list[float]:
-        candidate = replace(system_template, omega=omega)
-        return [l.frequency_hz for l in transition_lines(candidate, field, n)]
-
     def residual(omega: float) -> float:
-        freqs = model(omega)
-        if len(freqs) == len(measured):
-            sq = sum((f - y) ** 2 for f, y in zip(freqs, measured))
-        else:
-            sq = sum(min((f - y) ** 2 for f in freqs) for y in measured)
-        return math.sqrt(sq / len(measured))
+        candidate = replace(system_template, omega=omega)
+        model = [l.frequency_hz for l in transition_lines(candidate, field, n)]
+        return _line_misfit(model, measured)
 
     xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    fs = [residual(x) for x in xs]
+    fs = _scan_residuals(measured, system_template, field, n, xs)
     f_min, f_max = min(fs), max(fs)
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(

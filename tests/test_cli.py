@@ -8,6 +8,8 @@ from parabolic_mr.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PHYSICS,
+    MAX_LEVEL_N,
+    MAX_SCAN_STEPS,
     ConfigError,
     figure1_scenario,
     load_config,
@@ -112,6 +114,70 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("ERROR 3: dissociation")
         assert "m_quantum=1.0" in err  # the worst requested projection
+
+
+def assert_config_error(tmp_path, capsys, command, config_path):
+    """The command exits 2 with one ERROR line and writes no files."""
+    out = tmp_path / "out"
+    assert run([command, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ERROR 2: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "command, key, literal",
+        [
+            ("spectrum", "spin", "Infinity"),
+            ("spectrum", "spin", "1e400"),
+            ("spectrum", "mass", "NaN"),
+            ("lines", "gbar", "-Infinity"),
+            ("spectrum", "b0", "1" + "0" * 400),
+            ("invert", "measured_lines", "[1000.0, NaN]"),
+            ("spectrum", "levels", "[[Infinity, 0]]"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, command, key, literal):
+        # splice each literal into the JSON text as written: json.dumps cannot
+        # write 1e400, and it would turn a huge integer into itself, not a float
+        payload = dict(BASE_CONFIG, bracket_lo=1e5, bracket_hi=4e5)
+        payload[key] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload).replace('"@"', literal), encoding="utf-8")
+        assert_config_error(tmp_path, capsys, command, str(path))
+
+    def test_non_finite_measured_lines_file_rejected(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        path.write_text("M_from,freq_hz\n0.5,1000.0\n-0.5,nan\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="non-finite"):
+            read_lines_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("validate", "n_max", MAX_LEVEL_N + 1),
+            ("lines", "fixed_n", MAX_LEVEL_N + 1),
+            ("validate", "levels", [[1.0, MAX_LEVEL_N + 1]]),
+            ("crossings", "scan_steps", MAX_SCAN_STEPS + 1),
+            ("invert", "scan_points", MAX_SCAN_STEPS + 1),
+        ],
+    )
+    def test_size_keys_capped(self, tmp_path, capsys, command, key, value):
+        path = write_config(
+            tmp_path, gbar_min=0.0, gbar_max=100.0, bracket_lo=1e5, bracket_hi=4e5,
+            measured_lines=[1000.0, 2000.0], **{key: value},
+        )
+        assert_config_error(tmp_path, capsys, command, path)
+
+    def test_caps_themselves_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path, n_max=MAX_LEVEL_N, fixed_n=MAX_LEVEL_N, levels=[[1.0, MAX_LEVEL_N]],
+            scan_steps=MAX_SCAN_STEPS, scan_points=MAX_SCAN_STEPS,
+        )
+        scenario = load_config(path)
+        assert scenario.n_max == scenario.fixed_n == MAX_LEVEL_N == 1023
+        assert scenario.scan_steps == scenario.scan_points == MAX_SCAN_STEPS
 
 
 class TestWriteCsv:

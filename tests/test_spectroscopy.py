@@ -22,6 +22,7 @@ from parabolic_mr import (
     scaled_spin_number,
     transition_lines,
 )
+import parabolic_mr.spectroscopy as spectroscopy
 from parabolic_mr.cli import figure1_scenario
 from parabolic_mr.spectroscopy import _pair_delta_e
 
@@ -215,6 +216,22 @@ class TestCrossingScan:
             e_b = energy_level(scenario.system, fld, *c.level_b)
             assert abs(e_a - e_b) < 1e-10 * max(abs(e_a), abs(e_b))
             assert c.level_a != c.level_b
+            assert c.converged
+
+    def test_bisection_cap_reports_unconverged_crossings(self, monkeypatch):
+        monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", 3)
+        scenario = figure1_scenario()
+        result = crossing_scan(
+            scenario.system,
+            scenario.field,
+            (scenario.gbar_min, scenario.gbar_max),
+            scenario.all_levels(),
+            steps=scenario.scan_steps,
+        )
+        assert result.crossings
+        for c in result.crossings:
+            assert c.converged is False
+            assert c.bracket_width > 0.0
 
     def test_each_crossing_is_one_sign_flip(self):
         scenario = figure1_scenario()
