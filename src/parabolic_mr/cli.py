@@ -76,12 +76,14 @@ MAX_LEVEL_N = MAX_DVR_POINTS // 2 - 1
 #: Largest ``scan_steps`` and ``scan_points``; scans cost time linear in them.
 MAX_SCAN_STEPS = 2**16
 
-#: Largest accepted value of each integer key.
-_INT_CAPS = {
-    "n_max": MAX_LEVEL_N,
-    "fixed_n": MAX_LEVEL_N,
-    "scan_steps": MAX_SCAN_STEPS,
-    "scan_points": MAX_SCAN_STEPS,
+#: Accepted (lowest, highest) value of each integer key.  ``crossing_scan``
+#: needs 16 steps, and the inversion's coarse scan needs a point between its
+#: two ends.
+_INT_RANGES = {
+    "n_max": (0, MAX_LEVEL_N),
+    "fixed_n": (0, MAX_LEVEL_N),
+    "scan_steps": (16, MAX_SCAN_STEPS),
+    "scan_points": (3, MAX_SCAN_STEPS),
 }
 
 
@@ -150,8 +152,9 @@ def _want_int(raw: dict, key: str, default: int) -> int:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r} must be an integer")
-    if value > _INT_CAPS[key]:
-        raise ConfigError(f"key {key!r} must be at most {_INT_CAPS[key]}")
+    lowest, highest = _INT_RANGES[key]
+    if not lowest <= value <= highest:
+        raise ConfigError(f"key {key!r} must be between {lowest} and {highest}")
     return value
 
 
@@ -214,8 +217,8 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
                 or not isinstance(item[1], int)
             ):
                 raise ConfigError("each entry of 'levels' must be [m_quantum, n]")
-            if item[1] > MAX_LEVEL_N:
-                raise ConfigError(f"each n in 'levels' must be at most {MAX_LEVEL_N}")
+            if not 0 <= item[1] <= MAX_LEVEL_N:
+                raise ConfigError(f"each n in 'levels' must be between 0 and {MAX_LEVEL_N}")
             parsed.append((_finite_float(item[0], "each M in 'levels'"), item[1]))
         levels = tuple(parsed)
 
@@ -525,11 +528,11 @@ def _cmd_figure1(scenario: Scenario | None, args) -> int:
         np.array([n for _, n in ordered], dtype=int),
     )
     rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
+    result = crossing_scan(base.system, base.field, (g_lo, g_hi), levels, steps=steps)
     os.makedirs(args.out, exist_ok=True)
     levels_path = os.path.join(args.out, "figure1_levels.csv")
     write_csv(levels_path, columns, rows)
 
-    result = crossing_scan(base.system, base.field, (g_lo, g_hi), levels, steps=steps)
     crossing_rows = [
         (c.gbar, c.level_a[0], c.level_a[1], c.level_b[0], c.level_b[1], c.energy)
         for c in result.crossings
@@ -566,6 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "lines": _cmd_lines,
@@ -577,9 +582,8 @@ _HANDLERS = {
 
 def run(argv) -> int:
     """Parse argv, run one subcommand, and return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

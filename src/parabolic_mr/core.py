@@ -96,6 +96,8 @@ class SpinSystem:
             raise ValueError("invalid system: omega must be positive and finite")
         if not math.isfinite(self.gamma):
             raise ValueError("invalid system: gamma must be finite")
+        if not math.isfinite(self.spin):
+            raise ValueError("invalid system: spin must be finite")
         two_s = 2.0 * self.spin
         if self.spin < 0.0 or two_s != round(two_s):
             raise ValueError("invalid system: 2*spin must be a nonnegative integer")

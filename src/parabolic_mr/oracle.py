@@ -14,6 +14,10 @@ kinetic matrix is dense:
     H_ij = T_ij + delta_ij * V_M(lambda*u_i)/(hbar*omega)
     T_ij = 1/(2*du^2) * (pi^2/3 if i == j else 2*(-1)^(i-j)/(i-j)^2)
 
+T_ij depends on |i - j| alone, so T is a symmetric Toeplitz matrix: it is
+built from its first row, each matrix row being a shifted window of that row
+mirrored about its first entry.
+
 This is the uniform-grid idea of the Fourier-grid Hamiltonian (Marston &
 Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  For the Gaussian-tailed
 bound states here the eigenvalues converge faster than any power of du, so
@@ -207,11 +211,12 @@ def auto_grid(
 
 def _kinetic_matrix(n_points: int, du: float) -> np.ndarray:
     """Sinc-DVR matrix of -(1/2) d^2/du^2 on n_points uniform points."""
-    i = np.arange(n_points)
-    d = np.abs(i[:, None] - i[None, :])
-    sign = np.where(d % 2 == 0, 2.0, -2.0)
-    t = np.divide(sign, d * d, out=np.full(d.shape, math.pi**2 / 3.0), where=d > 0)
-    return t / (2.0 * du * du)
+    d = np.arange(1, n_points)
+    row = np.concatenate(([math.pi**2 / 3.0], np.where(d % 2 == 0, 2.0, -2.0) / (d * d)))
+    # mirrored[n_points - 1 + k] = row[|k|]; matrix row i is the window k = -i .. n_points - 1 - i
+    mirrored = np.concatenate((row[:0:-1], row))
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, n_points)
+    return windows[::-1] / (2.0 * du * du)
 
 
 def build_sector_hamiltonian(

@@ -528,6 +528,8 @@ def identify_frequency(
     if system_template.spin == 0.0:
         raise ValueError("spin 0 has no adjacent-M lines to fit")
     n = _require_int(n)
+    if scan_points < 3:
+        raise ValueError("scan_points must be at least 3")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise ValueError("bracket must be an increasing pair of positive rad/s values")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from parabolic_mr import cli
 from parabolic_mr.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -161,6 +162,16 @@ class TestConfigBounds:
             ("validate", "levels", [[1.0, MAX_LEVEL_N + 1]]),
             ("crossings", "scan_steps", MAX_SCAN_STEPS + 1),
             ("invert", "scan_points", MAX_SCAN_STEPS + 1),
+            # one below each lower bound
+            ("validate", "n_max", -1),
+            ("figure1", "n_max", -1),
+            ("lines", "fixed_n", -1),
+            ("validate", "levels", [[1.0, -1]]),
+            ("crossings", "scan_steps", 15),
+            ("figure1", "scan_steps", 4),
+            ("invert", "scan_points", 2),
+            ("invert", "scan_points", 1),
+            ("invert", "scan_points", 0),
         ],
     )
     def test_size_keys_capped(self, tmp_path, capsys, command, key, value):
@@ -169,6 +180,14 @@ class TestConfigBounds:
             measured_lines=[1000.0, 2000.0], **{key: value},
         )
         assert_config_error(tmp_path, capsys, command, path)
+
+    def test_floors_themselves_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path, n_max=0, fixed_n=0, levels=[[1.0, 0]], scan_steps=16, scan_points=3
+        )
+        scenario = load_config(path)
+        assert scenario.n_max == scenario.fixed_n == scenario.levels[0][1] == 0
+        assert (scenario.scan_steps, scenario.scan_points) == (16, 3)
 
     def test_caps_themselves_accepted(self, tmp_path):
         path = write_config(
@@ -348,6 +367,11 @@ class TestFigure1Command:
         crossings = (out / "figure1_crossings.csv").read_text().splitlines()
         assert len(crossings) > 1
 
+    def test_failed_scan_writes_no_file(self, tmp_path, capsys):
+        # the level table builds on a decreasing range; crossing_scan refuses it
+        path = write_config(tmp_path, gbar_min=100.0, gbar_max=50.0)
+        assert_config_error(tmp_path, capsys, "figure1", path)
+
     def test_defaults_match_expected_scenario(self):
         scenario = figure1_scenario()
         assert scenario.system.spin == 1.5
@@ -391,3 +415,49 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert (out / "levels.csv").exists()
+
+
+class TestParserReuse:
+    def test_parser_not_rebuilt_per_call(self, tmp_path, monkeypatch, capsys):
+        def rebuild():
+            raise AssertionError("run() rebuilt the argument parser")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        config = write_config(tmp_path)
+        assert run(["spectrum", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert run(["frobnicate"]) == EXIT_CONFIG
+
+    def test_outputs_unchanged_after_errors_and_help(self, tmp_path, capsys):
+        # one process runs every kind of parse; each command's files must
+        # equal those of the same command in a fresh interpreter
+        config = write_config(tmp_path)
+        bad = write_config(tmp_path, name="bad.json", frequency=1.0)  # unknown key
+        commands = {
+            "first": ["spectrum", "--config", config, "--format", "json", "--omega-unit", "Hz"],
+            "lines": ["lines", "--config", config],
+            "again": ["spectrum", "--config", config],
+        }
+        sequence = [
+            ("first", EXIT_OK),
+            (["frobnicate"], EXIT_CONFIG),
+            (["spectrum", "--config", bad, "--out", str(tmp_path / "bad")], EXIT_CONFIG),
+            (["--help"], EXIT_OK),
+            (["lines", "--help"], EXIT_OK),
+            ("lines", EXIT_OK),
+            ("again", EXIT_OK),
+        ]
+        for step, code in sequence:
+            if isinstance(step, str):
+                assert run(commands[step] + ["--out", str(tmp_path / step)]) == code
+            else:
+                assert run(step) == code
+        for name, argv in commands.items():
+            fresh = tmp_path / f"fresh_{name}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "parabolic_mr", *argv, "--out", str(fresh)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            got = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            assert got == {p.name: p.read_bytes() for p in fresh.iterdir()}

@@ -48,6 +48,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             simple_system(spin=-0.5)
 
+    @pytest.mark.parametrize("spin", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_spin(self, spin):
+        with pytest.raises(ValueError, match="spin must be finite"):
+            simple_system(spin=spin)
+
     def test_offset_must_sit_inside_sample(self):
         simple_system(offset=1e-5, sample_half_length=1e-4)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -27,6 +29,7 @@ from parabolic_mr import (
     validate_levels,
 )
 from parabolic_mr import oracle
+from parabolic_mr.cli import run
 
 
 def oscillator_system(**overrides):
@@ -84,6 +87,20 @@ class TestBuildSectorHamiltonian:
         )
         assert np.array_equal(kinetic[0, 1:], kinetic[1:, 0])
         assert np.array_equal(kinetic[7, 8:20], kinetic[0, 1:13])  # Toeplitz
+
+    @pytest.mark.parametrize("n_points", [64, 65, 97, 144, 217])
+    def test_kinetic_matrix_equals_elementwise_definition(self, n_points):
+        du = 18.0 / (n_points - 1)
+        want = np.empty((n_points, n_points))
+        for i in range(n_points):
+            for j in range(n_points):
+                d = abs(i - j)
+                t = math.pi**2 / 3.0 if d == 0 else (2.0 if d % 2 == 0 else -2.0) / (d * d)
+                want[i, j] = t / (2.0 * du * du)
+        got = oracle._kinetic_matrix(n_points, du)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
 
     def test_m_zero_matrix_field_independent(self):
         system = oscillator_system()
@@ -302,3 +319,24 @@ class TestValidateLevels:
         system = oscillator_system()
         with pytest.raises(ValueError):
             validate_levels(system, ZERO_FIELD, [])
+
+
+#: SHA-256 of ``validation.json`` from ``parabolic-mr validate`` on the
+#: library-quickstart trap (README) with default levels and tol.  It pins the
+#: oracle's matrices and eigenvalues to the bytes of the element-wise kinetic
+#: build; a changed digest must be explained in CHANGES.md.
+QUICKSTART_VALIDATION_SHA256 = "8805c7a05b2360bc06db096db0f505dfff858275e96711396b2dfcf157f1a21a"
+
+
+def test_quickstart_validation_matches_pinned_digest(tmp_path, capsys):
+    config = tmp_path / "quickstart.json"
+    config.write_text(
+        json.dumps({
+            "mass": 2e-26, "gamma": 8e10, "spin": 1.5, "omega": 1.1e5,
+            "offset": 2e-6, "b0": 0.0, "g": 0.002, "gbar": 40.0,
+        }),
+        encoding="utf-8",
+    )
+    assert run(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "validation.json").read_bytes()).hexdigest()
+    assert digest == QUICKSTART_VALIDATION_SHA256

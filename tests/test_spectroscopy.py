@@ -361,6 +361,9 @@ class TestIdentifyFrequency:
             identify_frequency([], system, field, 0, (1e4, 1e6))
         with pytest.raises(ValueError, match="bracket"):
             identify_frequency([1.0], system, field, 0, (1e6, 1e4))
+        for points in (0, 1, 2):  # the coarse scan needs an interior point
+            with pytest.raises(ValueError, match="scan_points"):
+                identify_frequency([1.0], system, field, 0, (1e4, 1e6), scan_points=points)
 
     def test_fit_tolerance_gate(self):
         system, field = build_scenario(1e-26, 2e5, 6e10, 1.0, 0.3, 0.5, 0.7, 0.0)
