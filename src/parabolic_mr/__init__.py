@@ -6,11 +6,10 @@ inverse problem of identifying the trap frequency from the spin-sublevel
 splittings of a single oscillator level.
 """
 
-from .constants import CONSTANTS, ELECTRON_MASS, GAMMA_ELECTRON, HBAR, oscillator_length
+from .constants import ELECTRON_MASS, GAMMA_ELECTRON, HBAR, oscillator_length
 from .core import (
     DerivedParams,
     EnergyDecomposition,
-    EnergyLevel,
     FieldProfile,
     SpinLevelIndex,
     SpinSystem,
@@ -20,7 +19,6 @@ from .core import (
     eigenfunction_center,
     energy_decomposition,
     energy_level,
-    energy_levels,
     gbar_critical,
     hermite,
     oscillator_wavefunction,
@@ -61,14 +59,12 @@ from .spectroscopy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "ELECTRON_MASS",
     "GAMMA_ELECTRON",
     "HBAR",
     "oscillator_length",
     "DerivedParams",
     "EnergyDecomposition",
-    "EnergyLevel",
     "FieldProfile",
     "SpinLevelIndex",
     "SpinSystem",
@@ -78,7 +74,6 @@ __all__ = [
     "eigenfunction_center",
     "energy_decomposition",
     "energy_level",
-    "energy_levels",
     "gbar_critical",
     "hermite",
     "oscillator_wavefunction",

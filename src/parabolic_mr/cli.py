@@ -32,11 +32,11 @@ from .constants import (
 from .core import (
     FieldProfile,
     SpinSystem,
+    _require_all_bound,
     energy_level,
     gbar_critical,
-    scaled_spin_number,
 )
-from .errors import ConvergenceError, DissociationError, PhysicsError, UnidentifiableError
+from .errors import ConvergenceError, PhysicsError, UnidentifiableError
 from .oracle import MAX_DVR_POINTS, MIN_TOL, validate_levels
 from .spectroscopy import SELECTION_RULES, crossing_scan, identify_frequency, transition_lines
 
@@ -71,6 +71,8 @@ _OPTIONAL_KEYS = (
 #: Largest oscillator number n a config may name (``n_max``, ``fixed_n``,
 #: ``levels``): the oracle's first solve of a sector's n + 1 lowest levels
 #: takes 2(n + 1) grid points, which must fit within ``MAX_DVR_POINTS``.
+#: Converging needs a second solve of 3(n + 1) points, so ``validate``
+#: converges only up to n = 681 and ends in exit code 4 above it.
 MAX_LEVEL_N = MAX_DVR_POINTS // 2 - 1
 
 #: Largest ``scan_steps`` and ``scan_points``; scans cost time linear in them.
@@ -220,6 +222,8 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
             if not 0 <= item[1] <= MAX_LEVEL_N:
                 raise ConfigError(f"each n in 'levels' must be between 0 and {MAX_LEVEL_N}")
             parsed.append((_finite_float(item[0], "each M in 'levels'"), item[1]))
+        if len(set(parsed)) != len(parsed):
+            raise ConfigError("each [m_quantum, n] in 'levels' must be unique")
         levels = tuple(parsed)
 
     measured = None
@@ -344,24 +348,10 @@ def _emit(records, columns, out_dir: str, stem: str, fmt: str) -> str:
     return path
 
 
-def _check_requested_levels(scenario: Scenario, levels) -> None:
-    """Raise a DissociationError naming the worst requested M, if any is unstable."""
-    worst: tuple[float, float] | None = None
-    for m, _ in levels:
-        mbar = scaled_spin_number(scenario.system, scenario.field, m)
-        if mbar >= 1.0 and (worst is None or mbar > worst[1]):
-            worst = (m, mbar)
-    if worst is not None:
-        raise DissociationError(
-            f"dissociation: effective frequency imaginary for m_quantum={worst[0]} "
-            f"(worst requested level, mbar={worst[1]})"
-        )
-
-
 def _cmd_spectrum(scenario: Scenario, args) -> int:
     scale = HBAR * scenario.system.omega
     levels = scenario.all_levels()
-    _check_requested_levels(scenario, levels)
+    _require_all_bound(scenario.system, scenario.field, [m for m, _ in levels])
     rows = []
     for m, n in levels:
         e = energy_level(scenario.system, scenario.field, m, n)

@@ -13,13 +13,6 @@ ELECTRON_MASS = 9.1093837015e-31
 
 TWO_PI = 2.0 * math.pi
 
-#: Named constants table for programmatic lookup (CLI, scripts, tests).
-CONSTANTS: dict[str, float] = {
-    "hbar_J_s": HBAR,
-    "gamma_electron_rad_per_s_T": GAMMA_ELECTRON,
-    "electron_mass_kg": ELECTRON_MASS,
-}
-
 OMEGA_UNITS = ("rad/s", "Hz")
 
 

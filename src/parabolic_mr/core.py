@@ -165,15 +165,6 @@ class DerivedParams:
 
 
 @dataclass(frozen=True)
-class EnergyLevel:
-    """A labeled eigenvalue: projection M, oscillator number n, energy in J."""
-
-    m_quantum: float
-    n: int
-    energy: float
-
-
-@dataclass(frozen=True)
 class EnergyDecomposition:
     """Four-term split of the b0 = 0 spectrum (all terms in J).
 
@@ -230,8 +221,10 @@ def _require_int(n: int, name: str = "n") -> int:
 def _require_bound(mbar, mq) -> None:
     """Raise :class:`DissociationError` if a sector has mbar >= 1.
 
-    Over arrays, the error names the first unbound element in C order,
-    the one a scalar loop over the same values would have stopped at.
+    This is the closed forms' one dissociation rule; the boundary mbar = 1
+    counts as unbound.  Over arrays, the error names the first unbound
+    element in C order, the one a scalar loop over the same values would
+    have stopped at.
     """
     unbound = mbar >= 1.0
     if isinstance(unbound, ndarray):
@@ -308,6 +301,17 @@ def _mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
     return 2.0 * system.gamma * field.gbar * HBAR * mq / (system._omega_squared * system.mass)
 
 
+def _require_all_bound(system: SpinSystem, field: FieldProfile, ms) -> None:
+    """:func:`_require_bound` over several projections, naming the worst.
+
+    The worst projection has the largest mbar (the first one on a tie), so a
+    ladder or level list reports its most deeply unbound sector.
+    """
+    mqs = [_projection(system, m) for m in ms]
+    mbar, mq = max(((_mbar(system, field, mq), mq) for mq in mqs), key=lambda sector: sector[0])
+    _require_bound(mbar, mq)
+
+
 def scaled_spin_number(
     system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
 ) -> float:
@@ -332,14 +336,12 @@ def gbar_critical(system: SpinSystem) -> float:
     return system.mass * system.omega**2 / (2.0 * abs(system.gamma) * HBAR * system.spin)
 
 
-def derived_params(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
+def _derived_params(
+    system: SpinSystem, field: FieldProfile, mq: float, mbar: float, stable: bool
 ) -> DerivedParams:
-    """mbar, effective frequency, eigenfunction center and stability for one M."""
-    mq = _projection(system, m)
-    mbar = scaled_spin_number(system, field, mq)
+    """DerivedParams of a validated projection; omega_eff and center are NaN unless stable."""
     crit = gbar_critical(system)
-    if mbar >= 1.0:
+    if not stable:
         return DerivedParams(mq, mbar, math.nan, math.nan, crit, False)
     return DerivedParams(
         mq,
@@ -351,6 +353,15 @@ def derived_params(
     )
 
 
+def derived_params(
+    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
+) -> DerivedParams:
+    """mbar, effective frequency, eigenfunction center and stability for one M."""
+    mq = _projection(system, m)
+    mbar = scaled_spin_number(system, field, mq)
+    return _derived_params(system, field, mq, mbar, stable=not (mbar >= 1.0))
+
+
 def stability_check(system: SpinSystem, field: FieldProfile) -> DerivedParams:
     """Evaluate the dissociation bound at the worst spin projection.
 
@@ -358,25 +369,15 @@ def stability_check(system: SpinSystem, field: FieldProfile) -> DerivedParams:
     adverse projection +/-S, so the whole system is stable iff
     |gbar| < gbar_crit = mass*omega^2/(2*|gamma|*hbar*S).  The boundary
     |gbar| = gbar_crit counts as dissociated (the ground state there is not
-    normalizable).  S = 0 (or gamma = 0) is unconditionally stable.
+    normalizable), even where the rounded mbar of that projection reads
+    just below 1.  S = 0 (or gamma = 0) is unconditionally stable.
     """
-    crit = gbar_critical(system)
     if system.gamma * field.gbar >= 0.0:
         worst = system.spin
     else:
         worst = -system.spin
     mbar = scaled_spin_number(system, field, worst)
-    stable = abs(field.gbar) < crit
-    if not stable:
-        return DerivedParams(worst, mbar, math.nan, math.nan, crit, False)
-    return DerivedParams(
-        worst,
-        mbar,
-        system.omega * math.sqrt(1.0 - mbar),
-        eigenfunction_center(system, field, worst),
-        crit,
-        True,
-    )
+    return _derived_params(system, field, worst, mbar, abs(field.gbar) < gbar_critical(system))
 
 
 def _field_at_offset(system: SpinSystem, field: FieldProfile) -> float:
@@ -413,16 +414,6 @@ def energy_level(
     slope = system.gamma * _gradient_at_offset(system, field) * mq / system.omega
     shift = slope * slope * HBAR / (2.0 * system.mass * system.omega * (1.0 - mbar))
     return HBAR * system.omega * (quantum - zeeman - shift)
-
-
-def energy_levels(
-    system: SpinSystem, field: FieldProfile, pairs
-) -> list[EnergyLevel]:
-    """Evaluate ``energy_level`` for an iterable of (M, n) pairs."""
-    return [
-        EnergyLevel(_projection(system, m), _require_int(n), energy_level(system, field, m, n))
-        for m, n in pairs
-    ]
 
 
 def energy_decomposition(

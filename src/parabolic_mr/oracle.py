@@ -31,8 +31,9 @@ deterministic.
 
 This module validates the closed forms in :mod:`parabolic_mr.core`; it never
 calls them for the quantities under test (the potential above is typed out
-directly), only for meshing hints (where to center the grid and how wide to
-make it).
+directly).  It reads mbar from ``scaled_spin_number`` for its meshing hints
+(how wide to make the grid) and for its own dissociation check, which stays
+apart from the closed forms' rule; the grid center is typed out here too.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .core import (
     SpinLevelIndex,
     SpinSystem,
     _projection,
-    eigenfunction_center,
     energy_level,
     scaled_spin_number,
 )
@@ -183,6 +183,17 @@ class ValidationReport:
         }
 
 
+def _bound_mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
+    """mbar of a validated projection; refuses a sector unbounded below (mbar >= 1)."""
+    mbar = scaled_spin_number(system, field, mq)
+    if mbar >= 1.0:
+        raise DissociationError(
+            f"unbounded below: no discrete spectrum guaranteed for m_quantum={mq} "
+            f"(mbar={mbar})"
+        )
+    return mbar
+
+
 def auto_grid(
     system: SpinSystem,
     field: FieldProfile,
@@ -192,18 +203,16 @@ def auto_grid(
 ) -> Grid:
     """Grid centered on the sector eigenfunctions, sized for the k lowest levels.
 
+    The center is x_c = a + gamma*(g + 2*gbar*a)*hbar*M / (mass*omega_eff^2).
     The half-width is (sqrt(2k+1) + 9) effective oscillator lengths, i.e. the
     classical turning point of level k plus the tail margin.
     """
     mq = _projection(system, m)
-    mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"unbounded below: no discrete spectrum guaranteed for m_quantum={mq} "
-            f"(mbar={mbar})"
-        )
+    mbar = _bound_mbar(system, field, mq)
     lam = oscillator_length(system.mass, system.omega)
-    u_center = eigenfunction_center(system, field, mq) / lam
+    gradient = field.g + 2.0 * field.gbar * system.offset
+    shift = system.gamma * gradient * HBAR * mq / (system.mass * system.omega**2 * (1.0 - mbar))
+    u_center = (system.offset + shift) / lam
     stretch = (1.0 - mbar) ** -0.25  # effective length / base length
     half_width = (math.sqrt(2.0 * k + 1.0) + TAIL_MARGIN) * stretch
     return Grid(u_center - half_width, u_center + half_width, n_points, lam)
@@ -298,12 +307,7 @@ def converged_spectrum(
     mq = _projection(system, m)
     if not (tol >= MIN_TOL):
         raise ValueError(f"tol must be at least {MIN_TOL:g}")
-    mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"unbounded below: no discrete spectrum guaranteed for m_quantum={mq} "
-            f"(mbar={mbar})"
-        )
+    mbar = _bound_mbar(system, field, mq)
     spacing = math.sqrt(1.0 - mbar)  # level spacing in hbar*omega units
 
     # a grid's highest eigenvalues are discretisation artefacts: start at 2k points

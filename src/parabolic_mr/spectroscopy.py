@@ -35,6 +35,8 @@ from .core import (
     _field_at_offset,
     _mbar,
     _projection,
+    _require_all_bound,
+    _require_bound,
     _require_int,
     _sqrt,
     energy_level,
@@ -115,27 +117,6 @@ class InversionResult:
     reason: str | None = None
 
 
-def _check_sector_stable(system: SpinSystem, field: FieldProfile, mq: float) -> None:
-    mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"dissociation: sector m_quantum={mq} is unstable (mbar={mbar})"
-        )
-
-
-def _check_sectors_stable(system: SpinSystem, field: FieldProfile, ms) -> None:
-    """Raise naming the worst offending projection if any sector is unstable."""
-    worst: tuple[float, float] | None = None
-    for mq in ms:
-        mbar = scaled_spin_number(system, field, mq)
-        if mbar >= 1.0 and (worst is None or mbar > worst[1]):
-            worst = (mq, mbar)
-    if worst is not None:
-        raise DissociationError(
-            f"dissociation: sector m_quantum={worst[0]} is unstable (mbar={worst[1]})"
-        )
-
-
 def _pair_delta_e(
     system: SpinSystem,
     field: FieldProfile,
@@ -201,7 +182,8 @@ def transition_lines(
                       to ``n_max`` (default: n), optionally dropping lines
                       above ``cutoff_hz``.
 
-    Raises :class:`DissociationError` naming the first unstable projection.
+    Raises :class:`DissociationError` naming the worst unbound projection
+    (the largest mbar) among those the rule involves.
     """
     n = _require_int(n)
     if rule not in SELECTION_RULES:
@@ -210,18 +192,18 @@ def transition_lines(
     pairs: list[tuple[tuple[float, int], tuple[float, int]]] = []
     if rule == "deltaM1_fixed_n":
         ladder = system.levels()
-        _check_sectors_stable(system, field, ladder)
+        _require_all_bound(system, field, ladder)
         pairs = [((ladder[i + 1], n), (ladder[i], n)) for i in range(len(ladder) - 1)]
     elif rule == "deltaN1_fixed_M":
         if m is None:
             raise ValueError("rule deltaN1_fixed_M requires the fixed projection m")
         mq = _projection(system, m)
-        _check_sector_stable(system, field, mq)
+        _require_all_bound(system, field, (mq,))
         pairs = [((mq, j + 1), (mq, j)) for j in range(n + 1)]
     else:  # all_pairs_within
         top = n if n_max is None else _require_int(n_max, "n_max")
         levels = [(mq, j) for mq in system.levels() for j in range(top + 1)]
-        _check_sectors_stable(system, field, system.levels())
+        _require_all_bound(system, field, system.levels())
         pairs = [
             (levels[i], levels[j])
             for i in range(len(levels))
@@ -423,10 +405,7 @@ def regime_weights(
             "(require b0 = 0, offset = 0, gbar != 0)"
         )
     mbar = scaled_spin_number(system, field, mq)
-    if mbar >= 1.0:
-        raise DissociationError(
-            f"dissociation: sector m_quantum={mq} is unstable (mbar={mbar})"
-        )
+    _require_bound(mbar, mq)
     quantum_weight = math.sqrt(1.0 - mbar)
     classical_weight = mbar * mbar / (4.0 * (1.0 - mbar))
     ratio_gv = field.g / field.gbar
@@ -485,7 +464,7 @@ def _scan_residuals(
     one covers the scan.
     """
     ladder = system_template.levels()
-    _check_sectors_stable(replace(system_template, omega=min(omegas)), field, ladder)
+    _require_all_bound(replace(system_template, omega=min(omegas)), field, ladder)
     scan = replace(system_template, omega=np.array(omegas)[:, None])
     upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
     delta_e = _pair_delta_e(scan, field, (upper, n), (lower, n))

@@ -127,6 +127,13 @@ def assert_config_error(tmp_path, capsys, command, config_path):
 
 
 class TestConfigBounds:
+    @pytest.mark.parametrize("command", ["spectrum", "validate", "crossings", "figure1"])
+    def test_duplicate_levels_rejected(self, tmp_path, capsys, command):
+        path = write_config(
+            tmp_path, levels=[[1.0, 0], [1.0, 0]], gbar_min=0.0, gbar_max=1.0
+        )
+        assert_config_error(tmp_path, capsys, command, path)
+
     @pytest.mark.parametrize(
         "command, key, literal",
         [

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +25,11 @@ from parabolic_mr import (
     hermite,
     oscillator_wavefunction,
     scaled_spin_number,
+    regime_weights,
     stability_check,
+    transition_lines,
 )
+from parabolic_mr.cli import EXIT_PHYSICS, run
 
 ELECTRON_GAMMA = -1.76085963e11
 
@@ -413,3 +418,53 @@ class TestEigenfunctions:
             for j in range(5):
                 overlap = trapezoid(states[i] * states[j], x)
                 assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
+
+
+class TestDissociationRule:
+    """Every entry point that refuses an unbound sector, on the criterion-4 trap.
+
+    mass = 2*hbar and omega = gamma = 1 make mbar == gbar * M exactly; spin 2
+    at gbar = 1 leaves M = 1 on the boundary (mbar = 1) and M = 2 beyond it,
+    so an error over a ladder or a level list can name the first unbound M
+    (1.0) or the worst one (2.0).  The worst is the one named.
+    """
+
+    SYSTEM = SpinSystem(mass=2.0 * HBAR, gamma=1.0, spin=2.0, omega=1.0, offset=0.0)
+    FIELD = FieldProfile(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda s, f: energy_level(s, f, 1.0, 0), 1.0),
+            (lambda s, f: effective_frequency(s, f, 2.0), 2.0),
+            (lambda s, f: eigenfunction_center(s, f, 1.0), 1.0),
+            (lambda s, f: energy_decomposition(s, f, 2.0, 0), 2.0),
+            (lambda s, f: regime_weights(s, f, 1.0, 0), 1.0),
+            (lambda s, f: transition_lines(s, f, 0), 2.0),
+            (lambda s, f: transition_lines(s, f, 0, rule="deltaN1_fixed_M", m=1.0), 1.0),
+            (lambda s, f: transition_lines(s, f, 0, rule="all_pairs_within", n_max=1), 2.0),
+        ],
+        ids=[
+            "energy_level", "effective_frequency", "eigenfunction_center",
+            "energy_decomposition", "regime_weights", "lines-deltaM1_fixed_n",
+            "lines-deltaN1_fixed_M", "lines-all_pairs_within",
+        ],
+    )
+    def test_library_entry_point_names_the_sector(self, call, named):
+        assert scaled_spin_number(self.SYSTEM, self.FIELD, 1.0) == 1.0
+        with pytest.raises(DissociationError, match=re.escape(f"m_quantum={named} ")):
+            call(self.SYSTEM, self.FIELD)
+
+    def test_spectrum_command_names_the_worst_requested_level(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({
+            "mass": 2.0 * HBAR, "gamma": 1.0, "spin": 2.0, "omega": 1.0,
+            "offset": 0.0, "b0": 0.0, "g": 0.0, "gbar": 1.0,
+            "levels": [[-2.0, 0], [1.0, 0], [2.0, 0], [0.0, 1]],
+        }))
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", str(config), "--out", str(out)]) == EXIT_PHYSICS
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ERROR 3: dissociation")
+        assert "m_quantum=2.0 " in err
+        assert not out.exists()

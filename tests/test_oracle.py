@@ -28,7 +28,7 @@ from parabolic_mr import (
     scaled_spin_number,
     validate_levels,
 )
-from parabolic_mr import oracle
+from parabolic_mr import core, oracle
 from parabolic_mr.cli import run
 
 
@@ -340,3 +340,29 @@ def test_quickstart_validation_matches_pinned_digest(tmp_path, capsys):
     assert run(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "validation.json").read_bytes()).hexdigest()
     assert digest == QUICKSTART_VALIDATION_SHA256
+
+
+def test_converged_spectrum_calls_no_closed_form_rule(monkeypatch):
+    # the oracle checks the closed forms, so it must reach its answers, and
+    # its own dissociation refusal, with every closed-form energy and the
+    # closed forms' dissociation rule out of reach
+    system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+    field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
+    expected = [converged_spectrum(system, field, m, 5) for m in system.levels()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a closed form")
+
+    for module in (core, oracle):
+        for name in ("energy_level", "effective_frequency", "_require_bound"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for m, (values, report) in zip(system.levels(), expected):
+        got, got_report = converged_spectrum(system, field, m, 5)
+        assert np.array_equal(got, values)
+        assert got_report == report
+    with pytest.raises(DissociationError, match="unbounded below"):
+        converged_spectrum(system, replace(field, gbar=1e9), 1.5, 3)
+    # criterion 4's boundary: mbar == 1 exactly is refused by the oracle too
+    boundary = SpinSystem(mass=2.0 * HBAR, gamma=1.0, spin=1.0, omega=1.0, offset=0.0)
+    with pytest.raises(DissociationError, match="unbounded below"):
+        converged_spectrum(boundary, FieldProfile(0.0, 0.0, 1.0), 1.0, 3)

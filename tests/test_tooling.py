@@ -1,6 +1,9 @@
-"""Repository-level checks: the runtime dependency set, the module entry point
-and the benchmark harness."""
+"""Repository-level checks: the runtime dependency set, the public surface,
+where dissociation is decided, the module entry point and the benchmark
+harness."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -18,6 +21,56 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_public_names_are_pinned():
+    # the public surface changes only on purpose: edit this list with it
+    import parabolic_mr
+
+    assert sorted(parabolic_mr.__all__) == sorted([
+        "ELECTRON_MASS", "GAMMA_ELECTRON", "HBAR", "oscillator_length",
+        "DerivedParams", "EnergyDecomposition", "FieldProfile", "SpinLevelIndex",
+        "SpinSystem", "derived_params", "effective_frequency", "eigenfunction",
+        "eigenfunction_center", "energy_decomposition", "energy_level",
+        "gbar_critical", "hermite", "oscillator_wavefunction",
+        "scaled_spin_number", "stability_check",
+        "ConvergenceError", "DissociationError", "InversionError", "PhysicsError",
+        "UnidentifiableError",
+        "Grid", "SectorMatrix", "ValidationReport", "auto_grid",
+        "build_sector_hamiltonian", "converged_spectrum", "expectation_position",
+        "lowest_eigenpairs", "lowest_eigenvalues", "validate_levels",
+        "CrossingPoint", "CrossingScanResult", "InversionResult", "RegimeWeights",
+        "TransitionLine", "crossing_scan", "identify_frequency", "regime_weights",
+        "transition_lines",
+        "__version__",
+    ])
+    assert all(hasattr(parabolic_mr, name) for name in parabolic_mr.__all__)
+
+
+def test_dissociation_error_raised_in_three_places():
+    # one rule for the closed forms (core._require_bound), one check of the
+    # oracle's own (kept apart so the oracle stays independent), and the
+    # crossing scan's refusal of a range with no bound stretch at all
+    sites = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "parabolic_mr", "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        owner = {}
+        for top in tree.body:
+            for node in ast.walk(top):
+                owner[node] = getattr(top, "name", None)
+        sites.extend(
+            (module, owner[node])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DissociationError"
+        )
+    assert sorted(sites) == [
+        ("core", "_require_bound"),
+        ("oracle", "_bound_mbar"),
+        ("spectroscopy", "crossing_scan"),
+    ]
 
 
 def test_module_entry_point_help_and_bad_subcommand():
