@@ -11,7 +11,6 @@ from .core import (
     DerivedParams,
     EnergyDecomposition,
     FieldProfile,
-    SpinLevelIndex,
     SpinSystem,
     derived_params,
     effective_frequency,
@@ -66,7 +65,6 @@ __all__ = [
     "DerivedParams",
     "EnergyDecomposition",
     "FieldProfile",
-    "SpinLevelIndex",
     "SpinSystem",
     "derived_params",
     "effective_frequency",

@@ -32,6 +32,7 @@ from .constants import (
 from .core import (
     FieldProfile,
     SpinSystem,
+    _projection,
     _require_all_bound,
     energy_level,
     gbar_critical,
@@ -46,27 +47,9 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERIC = 4
 
-_REQUIRED_KEYS = ("mass", "gamma", "spin", "omega", "offset", "b0", "g", "gbar")
-_OPTIONAL_KEYS = (
-    "omega_unit",
-    "sample_half_length",
-    "levels",
-    "n_max",
-    "fixed_n",
-    "fixed_m",
-    "rule",
-    "cutoff_hz",
-    "gbar_min",
-    "gbar_max",
-    "scan_steps",
-    "bracket_lo",
-    "bracket_hi",
-    "measured_lines",
-    "measured_lines_file",
-    "tol",
-    "scan_points",
-)
-
+#: Exit code of each error family; an error takes that of its nearest base
+#: class here (a ConfigError is a ValueError).
+_ERROR_EXITS = {PhysicsError: EXIT_PHYSICS, ConvergenceError: EXIT_NUMERIC, ValueError: EXIT_CONFIG}
 
 #: Largest oscillator number n a config may name (``n_max``, ``fixed_n``,
 #: ``levels``): the oracle's first solve of a sector's n + 1 lowest levels
@@ -78,16 +61,6 @@ MAX_LEVEL_N = MAX_DVR_POINTS // 2 - 1
 #: Largest ``scan_steps`` and ``scan_points``; scans cost time linear in them.
 MAX_SCAN_STEPS = 2**16
 
-#: Accepted (lowest, highest) value of each integer key.  ``crossing_scan``
-#: needs 16 steps, and the inversion's coarse scan needs a point between its
-#: two ends.
-_INT_RANGES = {
-    "n_max": (0, MAX_LEVEL_N),
-    "fixed_n": (0, MAX_LEVEL_N),
-    "scan_steps": (16, MAX_SCAN_STEPS),
-    "scan_points": (3, MAX_SCAN_STEPS),
-}
-
 
 class ConfigError(ValueError):
     """Scenario file failed strict parsing or invariant validation."""
@@ -95,7 +68,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated scenario: system + field + task parameters."""
+    """A fully validated scenario: system + field + task parameters.
+
+    Each field default is the default of the config key of the same name.
+    Every M in ``levels`` and ``fixed_m`` must be a projection of the spin.
+    """
 
     system: SpinSystem
     field: FieldProfile
@@ -115,6 +92,16 @@ class Scenario:
     tol: float = 1e-8
     scan_points: int = 512
 
+    def __post_init__(self) -> None:
+        named = [("levels", m) for m, _ in self.levels or ()]
+        if self.fixed_m is not None:
+            named.append(("fixed_m", self.fixed_m))
+        for key, m in named:
+            try:
+                _projection(self.system, m)
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+
     def all_levels(self) -> list[tuple[float, int]]:
         """Configured (M, n) list, defaulting to every M x n <= n_max."""
         if self.levels is not None:
@@ -122,12 +109,18 @@ class Scenario:
         return [(m, n) for m in self.system.levels() for n in range(self.n_max + 1)]
 
 
-def _finite_float(value, what: str) -> float:
-    """A JSON number as a finite float; ``what`` names it in the error.
+# Each parser takes a JSON value and a phrase naming it in errors
+# ("key 'mass'"), and returns the parsed value.
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a finite float.
 
     json parses ``Infinity``, ``NaN`` and overflowing literals such as
     ``1e400`` to non-finite floats, and huge integer literals overflow float.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number")
     try:
         number = float(value)
     except OverflowError:
@@ -137,34 +130,95 @@ def _finite_float(value, what: str) -> float:
     return number
 
 
-def _want_number(raw: dict, key: str, optional: bool = False):
-    if key not in raw:
-        if optional:
-            return None
-        raise ConfigError(f"missing required key: {key}")
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key {key!r} must be a number")
-    return _finite_float(value, f"key {key!r}")
+def _integer(lowest: int, highest: int):
+    def parse(value, what: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{what} must be an integer")
+        if not lowest <= value <= highest:
+            raise ConfigError(f"{what} must be between {lowest} and {highest}")
+        return value
+
+    return parse
 
 
-def _want_int(raw: dict, key: str, default: int) -> int:
-    if key not in raw:
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key {key!r} must be an integer")
-    lowest, highest = _INT_RANGES[key]
-    if not lowest <= value <= highest:
-        raise ConfigError(f"key {key!r} must be between {lowest} and {highest}")
+def _choice(options: tuple[str, ...]):
+    def parse(value, what: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{what} must be one of {options}")
+        return value
+
+    return parse
+
+
+_level_n = _integer(0, MAX_LEVEL_N)
+
+
+def _levels(value, what: str) -> tuple[tuple[float, int], ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list of [M, n] pairs")
+    if not all(isinstance(item, list) and len(item) == 2 for item in value):
+        raise ConfigError(f"each entry of {what} must be [M, n]")
+    m_what, n_what = f"each M in {what}", f"each n in {what}"
+    levels = tuple((_number(m, m_what), _level_n(n, n_what)) for m, n in value)
+    if len(set(levels)) != len(levels):
+        raise ConfigError(f"each [M, n] in {what} must be unique")
+    return levels
+
+
+def _lines(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list of Hz values")
+    return tuple(_number(v, f"each entry of {what}") for v in value)
+
+
+def _path(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string path")
     return value
+
+
+def _tol(value, what: str) -> float:
+    tol = _number(value, what)
+    if not tol >= MIN_TOL:
+        raise ConfigError(f"{what} must be at least {MIN_TOL:g}")
+    return tol
+
+
+_REQUIRED_KEYS = ("mass", "gamma", "spin", "omega", "offset", "b0", "g", "gbar")
+
+#: The parser of every config key; the README's scenario-key table mirrors
+#: it.  ``crossing_scan`` needs 16 steps, and the inversion's coarse scan
+#: needs a point between its two ends.
+_SCHEMA = {
+    **dict.fromkeys(_REQUIRED_KEYS, _number),
+    "omega_unit": _choice(OMEGA_UNITS),
+    "sample_half_length": _number,
+    "levels": _levels,
+    "n_max": _level_n,
+    "fixed_n": _level_n,
+    "fixed_m": _number,
+    "rule": _choice(SELECTION_RULES),
+    "cutoff_hz": _number,
+    "gbar_min": _number,
+    "gbar_max": _number,
+    "scan_steps": _integer(16, MAX_SCAN_STEPS),
+    "bracket_lo": _number,
+    "bracket_hi": _number,
+    "measured_lines": _lines,
+    "measured_lines_file": _path,
+    "tol": _tol,
+    "scan_points": _integer(3, MAX_SCAN_STEPS),
+}
+
+_SYSTEM_KEYS = ("mass", "gamma", "spin", "omega", "offset", "sample_half_length")
 
 
 def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
     """Strict-parse a flat JSON scenario file into a :class:`Scenario`.
 
-    ``omega`` is converted to rad/s according to ``omega_unit`` (config key,
-    overridden by the --omega-unit flag when given).
+    ``omega`` and the bracket ends are converted to rad/s according to
+    ``omega_unit`` (config key, overridden by the --omega-unit flag when
+    given).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -176,109 +230,28 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of key/value pairs")
 
-    unknown = sorted(set(raw) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key in _REQUIRED_KEYS:
+        if key not in raw:
+            raise ConfigError(f"missing required key: {key}")
+    parsed = {key: _SCHEMA[key](value, f"key {key!r}") for key, value in raw.items()}
 
-    omega_unit = raw.get("omega_unit", "rad/s")
-    if omega_unit not in OMEGA_UNITS:
-        raise ConfigError(f"omega_unit must be one of {OMEGA_UNITS}")
     if omega_unit_override is not None:
-        omega_unit = omega_unit_override
-
-    try:
-        system = SpinSystem(
-            mass=_want_number(raw, "mass"),
-            gamma=_want_number(raw, "gamma"),
-            spin=_want_number(raw, "spin"),
-            omega=omega_to_rad_per_s(_want_number(raw, "omega"), omega_unit),
-            offset=_want_number(raw, "offset"),
-            sample_half_length=_want_number(raw, "sample_half_length", optional=True),
-        )
-        field = FieldProfile(
-            b0=_want_number(raw, "b0"),
-            g=_want_number(raw, "g"),
-            gbar=_want_number(raw, "gbar"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    levels = None
-    if "levels" in raw:
-        given = raw["levels"]
-        if not isinstance(given, list) or not given:
-            raise ConfigError("key 'levels' must be a non-empty list of [m, n] pairs")
-        parsed = []
-        for item in given:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or isinstance(item[0], bool)
-                or isinstance(item[1], bool)
-                or not isinstance(item[0], (int, float))
-                or not isinstance(item[1], int)
-            ):
-                raise ConfigError("each entry of 'levels' must be [m_quantum, n]")
-            if not 0 <= item[1] <= MAX_LEVEL_N:
-                raise ConfigError(f"each n in 'levels' must be between 0 and {MAX_LEVEL_N}")
-            parsed.append((_finite_float(item[0], "each M in 'levels'"), item[1]))
-        if len(set(parsed)) != len(parsed):
-            raise ConfigError("each [m_quantum, n] in 'levels' must be unique")
-        levels = tuple(parsed)
-
-    measured = None
-    if "measured_lines" in raw:
-        given = raw["measured_lines"]
-        if not isinstance(given, list) or not given:
-            raise ConfigError("key 'measured_lines' must be a non-empty list of Hz values")
-        for item in given:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError("key 'measured_lines' must contain only numbers")
-        measured = tuple(_finite_float(v, "each entry of 'measured_lines'") for v in given)
-
-    rule = raw.get("rule", "deltaM1_fixed_n")
-    if rule not in SELECTION_RULES:
-        raise ConfigError(f"rule must be one of {SELECTION_RULES}")
-
-    measured_file = raw.get("measured_lines_file")
-    if measured_file is not None and not isinstance(measured_file, str):
-        raise ConfigError("key 'measured_lines_file' must be a string path")
-
-    tol = _want_number(raw, "tol", optional=True)
-    if tol is not None and not (tol >= MIN_TOL):
-        raise ConfigError(f"tol must be at least {MIN_TOL:g}")
-
-    bracket = None
-    lo = _want_number(raw, "bracket_lo", optional=True)
-    hi = _want_number(raw, "bracket_hi", optional=True)
-    if (lo is None) != (hi is None):
+        parsed["omega_unit"] = omega_unit_override
+    unit = parsed.get("omega_unit", Scenario.omega_unit)
+    if ("bracket_lo" in parsed) != ("bracket_hi" in parsed):
         raise ConfigError("bracket_lo and bracket_hi must be given together")
-    if lo is not None:
-        bracket = (
-            omega_to_rad_per_s(lo, omega_unit),
-            omega_to_rad_per_s(hi, omega_unit),
-        )
-
     try:
-        return Scenario(
-            system=system,
-            field=field,
-            omega_unit=omega_unit,
-            levels=levels,
-            n_max=_want_int(raw, "n_max", 4),
-            fixed_n=_want_int(raw, "fixed_n", 0),
-            fixed_m=_want_number(raw, "fixed_m", optional=True),
-            rule=rule,
-            cutoff_hz=_want_number(raw, "cutoff_hz", optional=True),
-            gbar_min=_want_number(raw, "gbar_min", optional=True),
-            gbar_max=_want_number(raw, "gbar_max", optional=True),
-            scan_steps=_want_int(raw, "scan_steps", 64),
-            bracket=bracket,
-            measured_lines=measured,
-            measured_lines_file=measured_file,
-            tol=tol if tol is not None else 1e-8,
-            scan_points=_want_int(raw, "scan_points", 512),
-        )
+        for key in ("omega", "bracket_lo", "bracket_hi"):
+            if key in parsed:
+                parsed[key] = omega_to_rad_per_s(parsed[key], unit)
+        if "bracket_lo" in parsed:
+            parsed["bracket"] = (parsed.pop("bracket_lo"), parsed.pop("bracket_hi"))
+        system = SpinSystem(**{key: parsed.pop(key) for key in _SYSTEM_KEYS if key in parsed})
+        field = FieldProfile(parsed.pop("b0"), parsed.pop("g"), parsed.pop("gbar"))
+        return Scenario(system, field, **parsed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -313,26 +286,19 @@ def read_lines_csv(path: str) -> list[float]:
     """Read back the freq_hz column of a lines.csv written by this tool."""
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = [line.rstrip("\n") for line in fh if line.strip()]
+            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read measured lines file {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"measured lines file {path} is empty")
-    header = rows[0].split(",")
-    if "freq_hz" not in header:
+    if not rows or "freq_hz" not in rows[0]:
         raise ConfigError(f"measured lines file {path} has no freq_hz column")
-    idx = header.index("freq_hz")
-    out = []
-    for row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(f"malformed row in measured lines file {path}")
-        value = float(parts[idx])
-        if not math.isfinite(value):
-            raise ConfigError(f"measured lines file {path} holds a non-finite frequency")
-        out.append(value)
-    if not out:
+    header, data = rows[0], rows[1:]
+    if not data:
         raise ConfigError(f"measured lines file {path} contains no data rows")
+    if any(len(row) != len(header) for row in data):
+        raise ConfigError(f"malformed row in measured lines file {path}")
+    out = [float(row[header.index("freq_hz")]) for row in data]
+    if not all(map(math.isfinite, out)):
+        raise ConfigError(f"measured lines file {path} holds a non-finite frequency")
     return out
 
 
@@ -371,24 +337,16 @@ def _cmd_lines(scenario: Scenario, args) -> int:
         n_max=scenario.n_max,
         cutoff_hz=scenario.cutoff_hz,
     )
-    rows = [
-        (l.m_from, l.n_from, l.m_to, l.n_to, l.delta_e, l.frequency_hz)
-        for l in lines
-    ]
-    path = _emit(
-        rows,
-        ["M_from", "n_from", "M_to", "n_to", "delta_e_J", "freq_hz"],
-        args.out,
-        "lines",
-        args.format,
-    )
+    rows = [(l.m_from, l.n_from, l.m_to, l.n_to, l.delta_e, l.frequency_hz) for l in lines]
+    columns = ["M_from", "n_from", "M_to", "n_to", "delta_e_J", "freq_hz"]
+    path = _emit(rows, columns, args.out, "lines", args.format)
     print(f"wrote {path} ({len(rows)} lines)")
     return EXIT_OK
 
 
-def _cmd_crossings(scenario: Scenario, args) -> int:
-    if scenario.gbar_min is None or scenario.gbar_max is None:
-        raise ConfigError("crossings requires gbar_min and gbar_max")
+def _write_crossings(scenario: Scenario, out_dir: str, stem: str, fmt: str):
+    """Scan the scenario's levels over [gbar_min, gbar_max] and write the
+    crossings; returns the path written and the scan result."""
     result = crossing_scan(
         scenario.system,
         scenario.field,
@@ -396,21 +354,19 @@ def _cmd_crossings(scenario: Scenario, args) -> int:
         scenario.all_levels(),
         steps=scenario.scan_steps,
     )
-    rows = [
-        (c.gbar, c.level_a[0], c.level_a[1], c.level_b[0], c.level_b[1], c.energy)
-        for c in result.crossings
-    ]
-    path = _emit(
-        rows,
-        ["gbar", "M_a", "n_a", "M_b", "n_b", "energy_J"],
-        args.out,
-        "crossings",
-        args.format,
-    )
+    rows = [(c.gbar, *c.level_a, *c.level_b, c.energy) for c in result.crossings]
+    columns = ["gbar", "M_a", "n_a", "M_b", "n_b", "energy_J"]
+    return _emit(rows, columns, out_dir, stem, fmt), result
+
+
+def _cmd_crossings(scenario: Scenario, args) -> int:
+    if scenario.gbar_min is None or scenario.gbar_max is None:
+        raise ConfigError("crossings requires gbar_min and gbar_max")
+    path, result = _write_crossings(scenario, args.out, "crossings", args.format)
     note = ""
     if result.degenerate_pairs:
         note = f"; {len(result.degenerate_pairs)} pairs degenerate, no isolated crossings"
-    print(f"wrote {path} ({len(rows)} crossings{note})")
+    print(f"wrote {path} ({len(result.crossings)} crossings{note})")
     return EXIT_OK
 
 
@@ -469,72 +425,59 @@ def _cmd_validate(scenario: Scenario, args) -> int:
     return EXIT_OK
 
 
+def _with_scan_range(scenario: Scenario) -> Scenario:
+    """Default the unset ends of the gbar scan: gbar_max to 0.999 of the
+    dissociation bound, and gbar_min to gbar_max / scan_steps."""
+    gbar_max = scenario.gbar_max
+    if gbar_max is None:
+        crit = gbar_critical(scenario.system)
+        if math.isinf(crit):
+            raise ConfigError("gbar_max is required at spin 0 or gamma 0 (no dissociation bound)")
+        gbar_max = 0.999 * crit
+    gbar_min = scenario.gbar_min
+    if gbar_min is None:
+        gbar_min = gbar_max / scenario.scan_steps
+    return replace(scenario, gbar_min=gbar_min, gbar_max=gbar_max)
+
+
 def figure1_scenario() -> Scenario:
     """Electron-resonance reproduction defaults: S=3/2 trap with a weak
     negative linear gradient, scanned over the quadratic field parameter."""
-    system = SpinSystem(
-        mass=ELECTRON_MASS,
-        gamma=GAMMA_ELECTRON,
-        spin=1.5,
-        omega=1e5,
-        offset=1e-4,
-    )
+    system = SpinSystem(mass=ELECTRON_MASS, gamma=GAMMA_ELECTRON, spin=1.5, omega=1e5, offset=1e-4)
     field = FieldProfile(b0=0.0, g=-0.003, gbar=0.0)
-    crit = gbar_critical(system)
-    return Scenario(
-        system=system,
-        field=field,
-        n_max=2,
-        gbar_min=0.999 * crit / 256,
-        gbar_max=0.999 * crit,
-        scan_steps=256,
-    )
+    return _with_scan_range(Scenario(system, field, n_max=2, scan_steps=256))
 
 
 def _cmd_figure1(scenario: Scenario | None, args) -> int:
-    base = figure1_scenario()
-    if scenario is not None:
-        merged_min = scenario.gbar_min
-        merged_max = scenario.gbar_max
-        crit = gbar_critical(scenario.system)
-        if merged_max is None:
-            merged_max = 0.999 * crit
-        if merged_min is None:
-            merged_min = merged_max / scenario.scan_steps
-        base = replace(
-            scenario, gbar_min=merged_min, gbar_max=merged_max
-        )
-    levels = base.all_levels()
-    steps = base.scan_steps
-    g_lo, g_hi = base.gbar_min, base.gbar_max
+    scenario = figure1_scenario() if scenario is None else _with_scan_range(scenario)
+    steps = scenario.scan_steps
+    g_lo, g_hi = scenario.gbar_min, scenario.gbar_max
     gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
 
-    ordered = sorted(levels)
+    ordered = sorted(scenario.all_levels())
     columns = ["gbar"] + [f"E_J_m{m:+g}_n{n}" for m, n in ordered]
     table = energy_level(
-        base.system,
-        replace(base.field, gbar=np.array(gs)[:, None]),
+        scenario.system,
+        replace(scenario.field, gbar=np.array(gs)[:, None]),
         np.array([m for m, _ in ordered]),
         np.array([n for _, n in ordered], dtype=int),
     )
     rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
-    result = crossing_scan(base.system, base.field, (g_lo, g_hi), levels, steps=steps)
-    os.makedirs(args.out, exist_ok=True)
-    levels_path = os.path.join(args.out, "figure1_levels.csv")
-    write_csv(levels_path, columns, rows)
-
-    crossing_rows = [
-        (c.gbar, c.level_a[0], c.level_a[1], c.level_b[0], c.level_b[1], c.energy)
-        for c in result.crossings
-    ]
-    crossings_path = os.path.join(args.out, "figure1_crossings.csv")
-    write_csv(
-        crossings_path,
-        ["gbar", "M_a", "n_a", "M_b", "n_b", "energy_J"],
-        crossing_rows,
-    )
-    print(f"wrote {levels_path} and {crossings_path} ({len(crossing_rows)} crossings)")
+    # the scan can refuse the range, so it runs before any file is written
+    crossings_path, result = _write_crossings(scenario, args.out, "figure1_crossings", "csv")
+    levels_path = _emit(rows, columns, args.out, "figure1_levels", "csv")
+    print(f"wrote {levels_path} and {crossings_path} ({len(result.crossings)} crossings)")
     return EXIT_OK
+
+
+_COMMANDS = {
+    "spectrum": _cmd_spectrum,
+    "lines": _cmd_lines,
+    "crossings": _cmd_crossings,
+    "invert": _cmd_invert,
+    "validate": _cmd_validate,
+    "figure1": _cmd_figure1,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -543,16 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-oscillator spectra in a parabolic magnetic field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("spectrum", True),
-        ("lines", True),
-        ("crossings", True),
-        ("invert", True),
-        ("validate", True),
-        ("figure1", False),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="scenario JSON file")
+        p.add_argument("--config", required=name != "figure1", help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--omega-unit", choices=list(OMEGA_UNITS), default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -560,14 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = _build_parser()
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "lines": _cmd_lines,
-    "crossings": _cmd_crossings,
-    "invert": _cmd_invert,
-    "validate": _cmd_validate,
-}
 
 
 def run(argv) -> int:
@@ -577,25 +505,14 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "figure1":
-            scenario = (
-                load_config(args.config, args.omega_unit) if args.config else None
-            )
-            return _cmd_figure1(scenario, args)
-        scenario = load_config(args.config, args.omega_unit)
-        return _HANDLERS[args.command](scenario, args)
-    except ConfigError as exc:
-        print(f"ERROR {EXIT_CONFIG}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PhysicsError as exc:
-        print(f"ERROR {EXIT_PHYSICS}: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except ConvergenceError as exc:
-        print(f"ERROR {EXIT_NUMERIC}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"ERROR {EXIT_CONFIG}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        scenario = None
+        if args.config is not None:
+            scenario = load_config(args.config, args.omega_unit)
+        return _COMMANDS[args.command](scenario, args)
+    except tuple(_ERROR_EXITS) as exc:
+        code = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
+        print(f"ERROR {code}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

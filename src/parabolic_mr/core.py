@@ -138,18 +138,6 @@ class FieldProfile:
 
 
 @dataclass(frozen=True)
-class SpinLevelIndex:
-    """A spin projection M; must be a half-integer."""
-
-    m_quantum: float
-
-    def __post_init__(self) -> None:
-        two_m = 2.0 * self.m_quantum
-        if not math.isfinite(two_m) or two_m != round(two_m):
-            raise ValueError("m_quantum must be a half-integer")
-
-
-@dataclass(frozen=True)
 class DerivedParams:
     """Per-projection derived quantities.
 
@@ -183,7 +171,7 @@ class EnergyDecomposition:
     total: float
 
 
-def _projection(system: SpinSystem, m: float | SpinLevelIndex) -> float:
+def _projection(system: SpinSystem, m: float) -> float:
     """Validate M against the system's spin and return it as a float.
 
     A numpy array of projections is checked elementwise and returned as a
@@ -199,7 +187,7 @@ def _projection(system: SpinSystem, m: float | SpinLevelIndex) -> float:
                 f"for spin={system.spin}"
             )
         return mq
-    mq = m.m_quantum if isinstance(m, SpinLevelIndex) else float(m)
+    mq = float(m)
     steps = system.spin - mq
     if steps < 0.0 or mq < -system.spin or steps != round(steps):
         raise ValueError(
@@ -312,16 +300,12 @@ def _require_all_bound(system: SpinSystem, field: FieldProfile, ms) -> None:
     _require_bound(mbar, mq)
 
 
-def scaled_spin_number(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
-) -> float:
+def scaled_spin_number(system: SpinSystem, field: FieldProfile, m: float) -> float:
     """mbar = 2*gamma*gbar*hbar*M / (omega^2 * mass); may carry either sign."""
     return _mbar(system, field, _projection(system, m))
 
 
-def effective_frequency(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
-) -> float:
+def effective_frequency(system: SpinSystem, field: FieldProfile, m: float) -> float:
     """Sector frequency omega*sqrt(1 - mbar); raises once mbar >= 1."""
     mq = _projection(system, m)
     mbar = scaled_spin_number(system, field, mq)
@@ -353,9 +337,7 @@ def _derived_params(
     )
 
 
-def derived_params(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
-) -> DerivedParams:
+def derived_params(system: SpinSystem, field: FieldProfile, m: float) -> DerivedParams:
     """mbar, effective frequency, eigenfunction center and stability for one M."""
     mq = _projection(system, m)
     mbar = scaled_spin_number(system, field, mq)
@@ -370,14 +352,17 @@ def stability_check(system: SpinSystem, field: FieldProfile) -> DerivedParams:
     |gbar| < gbar_crit = mass*omega^2/(2*|gamma|*hbar*S).  The boundary
     |gbar| = gbar_crit counts as dissociated (the ground state there is not
     normalizable), even where the rounded mbar of that projection reads
-    just below 1.  S = 0 (or gamma = 0) is unconditionally stable.
+    just below 1.  Just inside the bound the rounded mbar can already read
+    1 or more; that too is reported unstable.  S = 0 (or gamma = 0) is
+    unconditionally stable.
     """
     if system.gamma * field.gbar >= 0.0:
         worst = system.spin
     else:
         worst = -system.spin
     mbar = scaled_spin_number(system, field, worst)
-    return _derived_params(system, field, worst, mbar, abs(field.gbar) < gbar_critical(system))
+    stable = abs(field.gbar) < gbar_critical(system) and mbar < 1.0
+    return _derived_params(system, field, worst, mbar, stable)
 
 
 def _field_at_offset(system: SpinSystem, field: FieldProfile) -> float:
@@ -391,9 +376,7 @@ def _gradient_at_offset(system: SpinSystem, field: FieldProfile) -> float:
     return field.g + 2.0 * field.gbar * system.offset
 
 
-def energy_level(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex, n: int
-) -> float:
+def energy_level(system: SpinSystem, field: FieldProfile, m: float, n: int) -> float:
     """Exact eigenvalue E_{M,n} in joules.
 
     E = hbar*omega_eff*(n + 1/2)
@@ -417,7 +400,7 @@ def energy_level(
 
 
 def energy_decomposition(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex, n: int
+    system: SpinSystem, field: FieldProfile, m: float, n: int
 ) -> EnergyDecomposition:
     """Quantum/classical four-term split of E_{M,n}; requires b0 = 0 and gbar != 0.
 
@@ -447,9 +430,7 @@ def energy_decomposition(
     return EnergyDecomposition(quantum, mixed, pure_a, pure_g, total)
 
 
-def eigenfunction_center(
-    system: SpinSystem, field: FieldProfile, m: float | SpinLevelIndex
-) -> float:
+def eigenfunction_center(system: SpinSystem, field: FieldProfile, m: float) -> float:
     """Center of the sector-M eigenfunctions, in meters.
 
     x_c = a + gamma*(g + 2*gbar*a)*hbar*M / (mass*omega_eff^2); note the
@@ -472,7 +453,7 @@ def eigenfunction_center(
 def eigenfunction(
     system: SpinSystem,
     field: FieldProfile,
-    m: float | SpinLevelIndex,
+    m: float,
     n: int,
     x,
 ):

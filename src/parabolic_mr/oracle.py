@@ -46,7 +46,6 @@ import numpy as np
 from .constants import HBAR, oscillator_length
 from .core import (
     FieldProfile,
-    SpinLevelIndex,
     SpinSystem,
     _projection,
     energy_level,
@@ -197,7 +196,7 @@ def _bound_mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
 def auto_grid(
     system: SpinSystem,
     field: FieldProfile,
-    m: float | SpinLevelIndex,
+    m: float,
     k: int,
     n_points: int,
 ) -> Grid:
@@ -231,7 +230,7 @@ def _kinetic_matrix(n_points: int, du: float) -> np.ndarray:
 def build_sector_hamiltonian(
     system: SpinSystem,
     field: FieldProfile,
-    m: float | SpinLevelIndex,
+    m: float,
     grid: Grid,
 ) -> SectorMatrix:
     """Sinc-DVR matrix of H_M/(hbar*omega) on ``grid``."""
@@ -290,7 +289,7 @@ def expectation_position(vec: np.ndarray, grid: Grid) -> float:
 def converged_spectrum(
     system: SpinSystem,
     field: FieldProfile,
-    m: float | SpinLevelIndex,
+    m: float,
     k: int,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, SectorConvergence]:

@@ -29,7 +29,6 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .core import (
     FieldProfile,
-    SpinLevelIndex,
     SpinSystem,
     _gradient_at_offset,
     _field_at_offset,
@@ -168,7 +167,7 @@ def transition_lines(
     n: int = 0,
     rule: str = "deltaM1_fixed_n",
     *,
-    m: float | SpinLevelIndex | None = None,
+    m: float | None = None,
     n_max: int | None = None,
     cutoff_hz: float | None = None,
 ) -> list[TransitionLine]:
@@ -389,7 +388,7 @@ def _bisect_crossings(
 def regime_weights(
     system: SpinSystem,
     field: FieldProfile,
-    m: float | SpinLevelIndex,
+    m: float,
     n: int,
 ) -> RegimeWeights:
     """Quantum vs classical weights of the a = 0, b0 = 0 spectrum split.

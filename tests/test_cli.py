@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabolic_mr import cli
 from parabolic_mr.cli import (
@@ -19,7 +25,9 @@ from parabolic_mr.cli import (
     write_csv,
 )
 from parabolic_mr.constants import TWO_PI
+from parabolic_mr.core import FieldProfile, SpinSystem
 from parabolic_mr.oracle import MIN_TOL
+from parabolic_mr.spectroscopy import transition_lines
 
 BASE_CONFIG = {
     "mass": 1e-26,
@@ -118,12 +126,14 @@ class TestLoadConfig:
 
 
 def assert_config_error(tmp_path, capsys, command, config_path):
-    """The command exits 2 with one ERROR line and writes no files."""
+    """The command exits 2 with one ERROR line and writes no files; returns
+    the error line."""
     out = tmp_path / "out"
     assert run([command, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("ERROR 2: ")
     assert not out.exists() or not any(out.iterdir())
+    return err
 
 
 class TestConfigBounds:
@@ -154,6 +164,14 @@ class TestConfigBounds:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(payload).replace('"@"', literal), encoding="utf-8")
         assert_config_error(tmp_path, capsys, command, str(path))
+
+    @pytest.mark.parametrize("command", ["spectrum", "lines", "crossings", "validate", "figure1"])
+    @pytest.mark.parametrize(
+        "key, value", [("levels", [[1.0, 0], [0.7, 0]]), ("levels", [[1.5, 0]]), ("fixed_m", 0.5)]
+    )
+    def test_m_not_a_projection_rejected(self, tmp_path, capsys, command, key, value):
+        path = write_config(tmp_path, gbar_min=0.0, gbar_max=1.0, **{key: value})
+        assert f"key {key!r}" in assert_config_error(tmp_path, capsys, command, path)
 
     def test_non_finite_measured_lines_file_rejected(self, tmp_path):
         path = tmp_path / "lines.csv"
@@ -379,6 +397,14 @@ class TestFigure1Command:
         path = write_config(tmp_path, gbar_min=100.0, gbar_max=50.0)
         assert_config_error(tmp_path, capsys, "figure1", path)
 
+    @pytest.mark.parametrize("key", ["spin", "gamma"])
+    def test_unbounded_trap_needs_gbar_max(self, tmp_path, capsys, key):
+        # spin 0 or gamma 0: gbar_critical is infinite, so no default range
+        path = write_config(tmp_path, **{key: 0.0})
+        assert "gbar_max is required" in assert_config_error(tmp_path, capsys, "figure1", path)
+        path = write_config(tmp_path, name="ranged.json", gbar_max=100.0, **{key: 0.0})
+        assert run(["figure1", "--config", path, "--out", str(tmp_path / "ranged")]) == EXIT_OK
+
     def test_defaults_match_expected_scenario(self):
         scenario = figure1_scenario()
         assert scenario.system.spin == 1.5
@@ -468,3 +494,108 @@ class TestParserReuse:
             assert proc.returncode == 0, proc.stderr
             got = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
             assert got == {p.name: p.read_bytes() for p in fresh.iterdir()}
+
+
+#: Every config key, with base values on which every subcommand exits 0.
+CONTRACT_BASE = dict(
+    BASE_CONFIG,
+    omega_unit="rad/s", sample_half_length=1e-3, levels=[[1.0, 0], [0.0, 1], [-1.0, 2]],
+    n_max=2, fixed_n=1, fixed_m=0.0, rule="deltaM1_fixed_n", cutoff_hz=1e15,
+    gbar_min=0.0, gbar_max=100.0, scan_steps=32, tol=1e-8, scan_points=64,
+    bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
+    measured_lines=[
+        line.frequency_hz
+        for line in transition_lines(
+            SpinSystem(*(BASE_CONFIG[k] for k in ("mass", "gamma", "spin", "omega", "offset"))),
+            FieldProfile(*(BASE_CONFIG[k] for k in ("b0", "g", "gbar"))),
+            1,
+        )
+    ],
+)
+
+#: JSON texts of wrong values: wrong types, bools, non-finite and
+#: overflowing numbers, and a huge integer.  A huge number that a double
+#: holds is left out: it is a valid ``spin``, which has no upper bound yet,
+#: and a spin of 1e12 asks for 2e12 levels.
+WRONG_VALUES = (
+    '"x"', "null", "[]", "{}", "[1.0]", "[[1.0]]", "true", "false",
+    "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-1" + "0" * 400,
+)
+
+#: Out-of-range values of the sized keys, and M values that are no projection.
+OUT_OF_RANGE = {
+    "n_max": ("-1", str(MAX_LEVEL_N + 1), str(2**64)),
+    "fixed_n": ("-1", str(MAX_LEVEL_N + 1)),
+    "levels": ("[[1.0, -1]]", f"[[1.0, {MAX_LEVEL_N + 1}]]", "[[0.7, 0]]", "[[1.0, 0], [1.0, 0]]"),
+    "scan_steps": ("15", str(MAX_SCAN_STEPS + 1)),
+    "scan_points": ("2", str(MAX_SCAN_STEPS + 1)),
+    "tol": (repr(0.5 * MIN_TOL), "0", "-1.0"),
+    "fixed_m": ("0.5", "7.0"),
+    "sample_half_length": ("1e-9", "-1.0"),
+}
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(sorted(CONTRACT_BASE) + ["measured_lines_file"])),
+    st.tuples(st.just("add"), st.sampled_from(["frequency", "gbar_maximum", "Omega"]),
+              st.sampled_from(WRONG_VALUES)),
+    st.tuples(st.just("set"), st.sampled_from(sorted(CONTRACT_BASE)), st.sampled_from(WRONG_VALUES)),
+    st.sampled_from([("set", key, text) for key, texts in OUT_OF_RANGE.items() for text in texts]),
+    st.tuples(st.just("set"), st.sampled_from(["n_max", "fixed_n"]), st.integers(0, 8).map(str)),
+)
+
+COMMANDS = ("spectrum", "lines", "crossings", "invert", "validate", "figure1")
+
+
+def run_quietly(argv):
+    """cli.run in process, returning (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def write_mutated_config(directory, mutation=None):
+    """Write CONTRACT_BASE, with one key dropped, or added or set to a JSON
+    text, and a measured-lines file that the config names."""
+    lines_file = os.path.join(directory, "lines.csv")
+    with open(lines_file, "w", encoding="utf-8") as fh:
+        fh.write("freq_hz\n" + "".join(f"{v!r}\n" for v in CONTRACT_BASE["measured_lines"]))
+    payload = dict(CONTRACT_BASE, measured_lines_file=lines_file)
+    kind, key, *text = mutation or ("keep", None)
+    if kind == "drop":
+        del payload[key]
+    elif text:
+        payload[key] = "@"  # spliced in as written: json.dumps cannot write 1e400
+    body = json.dumps(payload).replace(f'"{key}": "@"', f'"{key}": {"".join(text)}')
+    path = os.path.join(directory, "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(body)
+    return path
+
+
+class TestCliContract:
+    def test_base_config_passes_every_subcommand(self, tmp_path):
+        # the base sets every key (the measured-lines file is added on write)
+        assert sorted(CONTRACT_BASE) == sorted(set(cli._SCHEMA) - {"measured_lines_file"})
+        config = write_mutated_config(str(tmp_path))
+        for command in COMMANDS:
+            code, err = run_quietly([command, "--config", config, "--out", str(tmp_path / command)])
+            assert (code, err) == (EXIT_OK, "")
+
+    # the space of changes is finite (about 440), and 500 examples let the
+    # search run through all of it in a few seconds
+    @settings(max_examples=500)
+    @given(mutation=MUTATIONS)
+    def test_one_bad_change_ends_in_a_documented_exit(self, mutation):
+        with tempfile.TemporaryDirectory() as directory:
+            config = write_mutated_config(directory, mutation)
+            for command in COMMANDS:
+                out = os.path.join(directory, f"out_{command}")
+                code, err = run_quietly([command, "--config", config, "--out", out])
+                assert code in (0, 2, 3, 4) or (command == "validate" and code == 1)
+                if code == 0:
+                    assert err == ""
+                    continue
+                assert err.count("\n") == 1 and err.startswith(f"ERROR {code}: ")
+                if code != 1:  # a validation mismatch still writes its report
+                    assert not os.path.isdir(out) or not os.listdir(out)

@@ -9,12 +9,11 @@ from hypothesis import given, assume
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
-from conftest import build_scenario, stable_setups, trapezoid
+from conftest import build_scenario, random_stable_scenario, stable_setups, trapezoid
 from parabolic_mr import (
     HBAR,
     DissociationError,
     FieldProfile,
-    SpinLevelIndex,
     SpinSystem,
     effective_frequency,
     eigenfunction,
@@ -70,11 +69,6 @@ class TestDomainTypes:
     def test_field_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FieldProfile(b0=math.inf, g=0.0, gbar=0.0)
-
-    def test_spin_level_index_requires_half_integer(self):
-        SpinLevelIndex(-1.5)
-        with pytest.raises(ValueError):
-            SpinLevelIndex(0.3)
 
     def test_projection_validated_against_spin(self):
         system = simple_system(spin=1.0)
@@ -231,6 +225,22 @@ class TestStabilityCheck:
         system = simple_system()
         crit = gbar_critical(system)
         assert stability_check(system, FieldProfile(0.0, 0.0, crit * (1 - 1e-12))).stable
+
+    def test_just_inside_bound_reports_and_never_raises(self):
+        # one step inside the bound the worst M's rounded mbar can already
+        # read 1 (or, past rounding, more); the check reports, never raises
+        rng = np.random.default_rng(5)
+        unstable = 0
+        for _ in range(300):
+            system, field, _ = random_stable_scenario(rng)
+            for sign in (1.0, -1.0):
+                gbar = sign * math.nextafter(gbar_critical(system), 0.0)
+                summary = stability_check(system, FieldProfile(field.b0, field.g, gbar))
+                assert summary.stable == (summary.mbar < 1.0)
+                if not summary.stable:
+                    unstable += 1
+                    assert math.isnan(summary.omega_eff) and math.isnan(summary.center)
+        assert unstable > 0  # the draws do reach the rounded boundary
 
     def test_doubling_omega_quadruples_bound(self):
         system = simple_system()

@@ -1,10 +1,11 @@
 """Repository-level checks: the runtime dependency set, the public surface,
-where dissociation is decided, the module entry point and the benchmark
-harness."""
+where dissociation is decided, the README's config-key table, the module
+entry point and the benchmark harness."""
 
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -29,7 +30,7 @@ def test_public_names_are_pinned():
 
     assert sorted(parabolic_mr.__all__) == sorted([
         "ELECTRON_MASS", "GAMMA_ELECTRON", "HBAR", "oscillator_length",
-        "DerivedParams", "EnergyDecomposition", "FieldProfile", "SpinLevelIndex",
+        "DerivedParams", "EnergyDecomposition", "FieldProfile",
         "SpinSystem", "derived_params", "effective_frequency", "eigenfunction",
         "eigenfunction_center", "energy_decomposition", "energy_level",
         "gbar_critical", "hermite", "oscillator_wavefunction",
@@ -71,6 +72,21 @@ def test_dissociation_error_raised_in_three_places():
         ("oracle", "_bound_mbar"),
         ("spectroscopy", "crossing_scan"),
     ]
+
+
+def test_readme_key_table_mirrors_config_schema():
+    # every config key the parser accepts has one row in the README's table
+    from parabolic_mr import cli
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | type | default | range | unit |")
+    documented = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        documented += re.findall(r"`(\w+)`", line.split("|")[1])
+    assert sorted(documented) == sorted(cli._SCHEMA)
 
 
 def test_module_entry_point_help_and_bad_subcommand():
