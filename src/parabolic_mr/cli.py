@@ -61,6 +61,10 @@ MAX_LEVEL_N = MAX_DVR_POINTS // 2 - 1
 #: Largest ``scan_steps`` and ``scan_points``; scans cost time linear in them.
 MAX_SCAN_STEPS = 2**16
 
+#: Largest ``spin``: every subcommand works on all 2S + 1 projections, which
+#: are capped like the oscillator numbers, at MAX_LEVEL_N + 1.
+MAX_SPIN = MAX_LEVEL_N / 2
+
 
 class ConfigError(ValueError):
     """Scenario file failed strict parsing or invariant validation."""
@@ -177,6 +181,13 @@ def _path(value, what: str) -> str:
     return value
 
 
+def _spin(value, what: str) -> float:
+    spin = _number(value, what)
+    if spin > MAX_SPIN:
+        raise ConfigError(f"{what} must be at most {MAX_SPIN:g}")
+    return spin
+
+
 def _tol(value, what: str) -> float:
     tol = _number(value, what)
     if not tol >= MIN_TOL:
@@ -191,6 +202,7 @@ _REQUIRED_KEYS = ("mass", "gamma", "spin", "omega", "offset", "b0", "g", "gbar")
 #: needs a point between its two ends.
 _SCHEMA = {
     **dict.fromkeys(_REQUIRED_KEYS, _number),
+    "spin": _spin,
     "omega_unit": _choice(OMEGA_UNITS),
     "sample_half_length": _number,
     "levels": _levels,

@@ -150,7 +150,7 @@ class ValidationReport:
     max_rel_error: float = dataclass_field(default=math.nan)
 
     def passed(self) -> bool:
-        return self.converged and self.max_rel_error < self.tolerance
+        return bool(self.converged and self.max_rel_error < self.tolerance)  # not numpy's bool
 
     def to_dict(self) -> dict:
         return {

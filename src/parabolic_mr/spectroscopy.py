@@ -14,9 +14,9 @@ physical statement that a uniform field cannot reveal the trap frequency.
 Scans run as numpy array evaluations of the closed forms: a crossing scan
 evaluates each level pair over the whole gbar grid in one call and bisects
 all bracketed sign changes together, and the inversion's coarse omega scan
-evaluates every scan point's lines at once.  Each array element is
-bit-identical to the scalar evaluation, so a scan returns exactly what a
-point-by-point loop would.
+evaluates every scan point's lines at once.  Arguments are checked once per
+scan or line list, bisection evaluates energies only for closing brackets,
+and each array element is bit-identical to the scalar evaluation.
 """
 
 from __future__ import annotations
@@ -124,12 +124,21 @@ def _pair_delta_e(
 ) -> float:
     """Signed E_a - E_b with the common Zeeman and shift factors cancelled.
 
-    Like :func:`energy_level`, it broadcasts when system.omega, field.gbar or
-    a level's M and n are numpy arrays.
+    Checks both projections, then evaluates :func:`_pair_kernel`.  Like
+    :func:`energy_level`, it broadcasts when system.omega, field.gbar or a
+    level's M and n are numpy arrays.
     """
     (ma, na), (mb, nb) = level_a, level_b
-    ra = _sqrt(1.0 - _mbar(system, field, _projection(system, ma)))
-    rb = _sqrt(1.0 - _mbar(system, field, _projection(system, mb)))
+    return _pair_kernel(system, field, (_projection(system, ma), na), (_projection(system, mb), nb))
+
+
+def _pair_kernel(system: SpinSystem, field: FieldProfile, level_a, level_b) -> float:
+    """:func:`_pair_delta_e` of levels whose M are already checked projections."""
+    (ma, na), (mb, nb) = level_a, level_b
+    mbar_a, mbar_b = _mbar(system, field, ma), _mbar(system, field, mb)
+    _require_bound(mbar_a, ma)
+    _require_bound(mbar_b, mb)
+    ra, rb = _sqrt(1.0 - mbar_a), _sqrt(1.0 - mbar_b)
     osc = HBAR * system.omega * ((na + 0.5) * ra - (nb + 0.5) * rb)
     zeeman = system.gamma * _field_at_offset(system, field) * HBAR * (ma - mb)
     slope = system.gamma * _gradient_at_offset(system, field)
@@ -144,7 +153,8 @@ def _make_line(
     level_a: tuple[float, int],
     level_b: tuple[float, int],
 ) -> TransitionLine:
-    de = _pair_delta_e(system, field, level_a, level_b)
+    """The line between two levels whose M are already checked projections."""
+    de = _pair_kernel(system, field, level_a, level_b)
     if de >= 0.0:
         lo, hi = level_b, level_a
     else:
@@ -241,10 +251,11 @@ def crossing_scan(
     degenerate over the whole scan are reported separately, as are |delta E|
     dips without a sign flip (possible tangencies).
 
-    The grid is evaluated as arrays, one (pairs x grid) block per first level
-    of a pair, so memory stays O(levels x steps); all brackets are then
-    bisected together, each with the stop rule above.  A bracket still open
-    after ``MAX_BISECTION_STEPS`` comes back with ``converged=False``.
+    The levels are checked once per scan, then the grid is evaluated as
+    arrays, one (pairs x grid) block per first level of a pair, so memory
+    stays O(levels x steps); all brackets are bisected together, each with
+    the stop rule above and bit-identical to the scalar calls.  A bracket
+    still open after ``MAX_BISECTION_STEPS`` comes back with ``converged=False``.
     """
     level_list = [( _projection(system, m), _require_int(nn)) for m, nn in levels]
     if not level_list:
@@ -285,9 +296,10 @@ def crossing_scan(
     brackets = []  # (first level, second level, a, b, d(a)) of each sign change
     for i in range(len(level_list) - 1):
         js = np.arange(i + 1, len(level_list))
+        pairs = [(level_list[i], level_list[j]) for j in js.tolist()]
         ds = _pair_delta_e(system, grid, level_list[i], (ms[js, None], ns[js, None]))
-        d_a, d_b = ds[:, :-1], ds[:, 1:]
-        zero_a, zero_b = d_a == 0.0, d_b == 0.0
+        zero = ds == 0.0
+        d_a, d_b, zero_a, zero_b = ds[:, :-1], ds[:, 1:], zero[:, :-1], zero[:, 1:]
         live = ~zero_a & ~zero_b
         flips = live & ((d_a > 0.0) != (d_b > 0.0))
         # tangency candidates: |d| dips to a local minimum below
@@ -301,24 +313,21 @@ def crossing_scan(
             & inside
         )
         dips[:, 1:] &= (abs_ds[:, 1:-1] <= abs_ds[:, :-2]) & (abs_ds[:, 1:-1] <= abs_ds[:, 2:])
-        degenerate_rows = (ds == 0.0).all(axis=1)
-        for row, j in enumerate(js.tolist()):
-            pair = (level_list[i], level_list[j])
-            if degenerate_rows[row]:
-                degenerate.append(pair)
-                continue
-            if zero_a[row, 0]:
-                crossings.append(CrossingPoint(gs[0], *pair, float(energies[i, 0]), 0.0))
-            for idx in np.flatnonzero(~zero_a[row] & zero_b[row]).tolist():
-                crossings.append(
-                    CrossingPoint(gs[idx + 1], *pair, float(energies[i, idx + 1]), 0.0)
-                )
-            for idx in np.flatnonzero(dips[row]).tolist():
-                tangencies.append((gs[idx], pair))
-            brackets.extend(
-                (i, j, gs[idx], gs[idx + 1], float(ds[row, idx]))
-                for idx in np.flatnonzero(flips[row]).tolist()
-            )
+        # a pair lands on zero at the first point or from a nonzero neighbour;
+        # one that is zero everywhere is degenerate
+        degenerate_rows = zero.all(axis=1)
+        landed = zero & ~degenerate_rows[:, None]
+        landed[:, 1:] &= ~zero_a
+        degenerate.extend(pairs[row] for row in np.flatnonzero(degenerate_rows))
+        crossings.extend(
+            CrossingPoint(gs[idx], *pairs[row], float(energies[i, idx]), 0.0)
+            for row, idx in zip(*np.nonzero(landed))
+        )
+        tangencies.extend((gs[idx], pairs[row]) for row, idx in zip(*np.nonzero(dips)))
+        brackets.extend(
+            (i, i + 1 + row, gs[idx], gs[idx + 1], ds[row, idx])
+            for row, idx in zip(*np.nonzero(flips))
+        )
 
     if brackets:
         crossings.extend(
@@ -341,40 +350,48 @@ def _bisect_crossings(
 
     ``brackets`` holds (first level, second level, a, b, E_first - E_second
     at a), the levels as indices into ``level_list`` and its M and n arrays
-    ``ms`` and ``ns``.  Each step evaluates all open brackets' midpoints as
-    one array; a bracket closes, exactly as a scalar bisection of it would,
-    once its width is at most 1e-10 * max(|a|, |b|, g_scale) and |E_a - E_b|
-    is at most 1e-10 * max(|E_a|, |E_b|), or when the difference at the
-    midpoint is zero.
+    ``ms`` and ``ns``, all checked by the scan.  Each step evaluates all open
+    brackets' midpoints as one array; a bracket closes, exactly as a scalar
+    bisection of it would, once its width is at most 1e-10 * max(|a|, |b|,
+    g_scale) and |E_a - E_b| is at most 1e-10 * max(|E_a|, |E_b|), or when
+    the difference at the midpoint is zero.  The energies are evaluated only
+    for brackets that pass the width test or hit zero.
     """
     first, second, a, b, fa = (np.array(column) for column in zip(*brackets))
+    m_a, n_a, m_b, n_b = ms[first], ns[first], ms[second], ns[second]
     found = []
     for _ in range(MAX_BISECTION_STEPS):
         if not len(a):
             break
-        level_a, level_b = (ms[first], ns[first]), (ms[second], ns[second])
-        mid = 0.5 * (a + b)
-        field = replace(field_base, gbar=mid)
-        fm = _pair_delta_e(system, field, level_a, level_b)
-        e_a = energy_level(system, field, *level_a)
-        e_b = energy_level(system, field, *level_b)
-        width_ok = (b - a) <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
-        energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
-        done = (width_ok & energy_ok) | (fm == 0.0)
-        for k in np.flatnonzero(done).tolist():
-            found.append(
-                CrossingPoint(
-                    float(mid[k]), level_list[first[k]], level_list[second[k]],
-                    float(e_a[k]), float(b[k] - a[k]),
-                )
-            )
+        mid, width = 0.5 * (a + b), b - a
+        fm = _pair_kernel(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
+        width_ok = width <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
         right = (fm > 0.0) == (fa > 0.0)  # the sign change lies right of mid
         a, b, fa = np.where(right, mid, a), np.where(right, b, mid), np.where(right, fm, fa)
-        keep = ~done
-        a, b, fa, first, second = a[keep], b[keep], fa[keep], first[keep], second[keep]
+        tested = np.flatnonzero(width_ok | (fm == 0.0))
+        if not len(tested):
+            continue
+        field = replace(field_base, gbar=mid[tested])
+        e_a = energy_level(system, field, m_a[tested], n_a[tested])
+        e_b = energy_level(system, field, m_b[tested], n_b[tested])
+        energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
+        closing = (width_ok[tested] & energy_ok) | (fm[tested] == 0.0)
+        closed = tested[closing]
+        found.extend(
+            CrossingPoint(
+                float(mid[k]), level_list[first[k]], level_list[second[k]], e, float(width[k])
+            )
+            for k, e in zip(closed.tolist(), e_a[closing].tolist())
+        )
+        if len(closed):
+            keep = np.ones(len(a), dtype=bool)
+            keep[closed] = False
+            a, b, fa, first, second, m_a, n_a, m_b, n_b = (
+                column[keep] for column in (a, b, fa, first, second, m_a, n_a, m_b, n_b)
+            )
     if len(a):
         mid = 0.5 * (a + b)
-        e_a = energy_level(system, replace(field_base, gbar=mid), ms[first], ns[first])
+        e_a = energy_level(system, replace(field_base, gbar=mid), m_a, n_a)
         found.extend(
             CrossingPoint(
                 float(mid[k]), level_list[first[k]], level_list[second[k]],

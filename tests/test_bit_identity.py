@@ -1,9 +1,11 @@
 """Array evaluations of the closed forms equal the scalar ones bit for bit.
 
 Crossing scans, the inversion's coarse omega scan and the figure-1 level
-table evaluate ``energy_level`` and ``_pair_delta_e`` over numpy arrays.
-These tests pin each array element to the scalar call on the same values,
-compared as raw float64 bits (so 0.0 and -0.0 differ and NaN would show).
+table evaluate ``energy_level`` and ``_pair_delta_e`` over numpy arrays, and
+crossing bisection and ``transition_lines`` call the pair kernel on
+arguments checked once.  These tests pin each array element to the scalar
+call on the same values, compared as raw float64 bits (so 0.0 and -0.0
+differ and NaN would show).
 """
 
 import hashlib
@@ -14,13 +16,17 @@ import numpy as np
 
 from conftest import random_stable_scenario
 from parabolic_mr import (
+    CrossingPoint,
     FieldProfile,
     SpinSystem,
+    crossing_scan,
     energy_level,
     gbar_critical,
     transition_lines,
 )
+from parabolic_mr import spectroscopy
 from parabolic_mr.cli import run
+from parabolic_mr.constants import HBAR, TWO_PI
 from parabolic_mr.spectroscopy import _line_misfit, _pair_delta_e, _scan_residuals
 
 
@@ -122,6 +128,145 @@ def test_coarse_scan_residuals_match_scalar_residual():
         ]
         assert np.array_equal(bits(got), bits(want))
         assert not any(math.isnan(v) for v in got)
+
+
+def scalar_bisection(system, field, level_a, level_b, lo, hi, f_lo, g_scale):
+    """One bracket bisected point by point, with crossing_scan's stop rule."""
+    for _ in range(spectroscopy.MAX_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        at_mid = replace(field, gbar=mid)
+        f_mid = _pair_delta_e(system, at_mid, level_a, level_b)
+        e_a, e_b = energy_level(system, at_mid, *level_a), energy_level(system, at_mid, *level_b)
+        width_ok = hi - lo <= 1e-10 * max(abs(lo), abs(hi), g_scale)
+        if (width_ok and abs(e_a - e_b) <= 1e-10 * max(abs(e_a), abs(e_b))) or f_mid == 0.0:
+            return CrossingPoint(mid, level_a, level_b, e_a, hi - lo)
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    e_a = energy_level(system, replace(field, gbar=mid), *level_a)
+    return CrossingPoint(mid, level_a, level_b, e_a, hi - lo, converged=False)
+
+
+def scalar_crossing_scan(system, field, g_lo, g_hi, levels, steps):
+    """crossing_scan over a range inside every sector's stability interval,
+    one scalar call per grid point and bisection step."""
+    gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
+    g_scale = max(abs(g_lo), abs(g_hi))
+    at = [replace(field, gbar=g) for g in gs]
+    crossings, degenerate, tangencies = [], [], []
+    for i, level_a in enumerate(levels):
+        for level_b in levels[i + 1:]:
+            pair = (level_a, level_b)
+            ds = [_pair_delta_e(system, fld, level_a, level_b) for fld in at]
+            if all(d == 0.0 for d in ds):
+                degenerate.append(pair)
+                continue
+            e_scale = max(abs(energy_level(system, at[0], *lvl)) for lvl in pair)
+            if ds[0] == 0.0:
+                e_a = energy_level(system, at[0], *level_a)
+                crossings.append(CrossingPoint(gs[0], *pair, e_a, 0.0))
+            for k in range(steps):
+                d_a, d_b = ds[k], ds[k + 1]
+                if d_a != 0.0 and d_b == 0.0:
+                    e_a = energy_level(system, at[k + 1], *level_a)
+                    crossings.append(CrossingPoint(gs[k + 1], *pair, e_a, 0.0))
+                if d_a == 0.0 or d_b == 0.0:
+                    continue
+                if (d_a > 0.0) != (d_b > 0.0):
+                    crossings.append(
+                        scalar_bisection(system, field, *pair, gs[k], gs[k + 1], d_a, g_scale)
+                    )
+                elif (
+                    0 < k < steps - 1
+                    and min(abs(d_a), abs(d_b)) < spectroscopy.TANGENCY_FRACTION * e_scale
+                    and abs(d_a) <= abs(ds[k - 1])
+                    and abs(d_a) <= abs(d_b)
+                ):
+                    tangencies.append((gs[k], pair))
+    crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
+    return crossings, degenerate, tangencies
+
+
+def crossing_fields(crossings):
+    """A crossing list as comparable tuples, every float as its raw bits."""
+    return [
+        (int(bits(c.gbar)), c.level_a, c.level_b, int(bits(c.energy)),
+         int(bits(c.bracket_width)), c.converged)
+        for c in crossings
+    ]
+
+
+def test_crossing_scans_and_lines_match_scalar_calls(monkeypatch):
+    rng = np.random.default_rng(8)
+    closed = landed = unconverged = degenerate_pairs = dips = 0
+    for k in range(32):
+        system, field, _ = random_stable_scenario(
+            rng, zero_b0=bool(k % 2), spin_choices=(0.5, 1.0, 1.5, 2.0, 2.5)
+        )
+        if k % 8 == 3:  # b0 = g = 0 at the trap minimum: equal-n levels meet at gbar = 0
+            system, field = replace(system, offset=0.0), replace(field, b0=0.0, g=0.0)
+        if k % 8 == 5:  # no spin coupling: equal-n levels coincide, others run parallel
+            system = replace(system, gamma=0.0)
+        if k % 8 == 7:  # 1 - mbar rounds to 1 near gbar = 0: equal-n pairs stay at 0 there
+            system = SpinSystem(mass=1.0, gamma=1.0, spin=system.spin, omega=1.0)
+            field = FieldProfile(0.0, 0.0, 0.0)
+        n_max = int(rng.integers(0, 4))
+        levels = [(m, n) for m in system.levels() for n in range(n_max + 1)]
+        rng.shuffle(levels)
+        levels = levels[:10]
+        steps = int(2 ** rng.uniform(4.0, 8.0))
+        crit = gbar_critical(system) if system.gamma else abs(field.gbar)
+        g_lo, g_hi = sorted(0.95 * crit * rng.uniform(-1.0, 1.0, 2))
+        if k % 8 == 3:
+            g_hi = max(-g_lo, g_hi)
+            g_lo, steps = -g_hi, 2 * (steps // 2)  # gbar = 0 on the grid
+        if k % 8 == 7:
+            g_lo, g_hi = -2e18, 2e18
+        cap = (5, 20, 200)[k % 3]  # a cap below the steps a bracket needs leaves it open
+        monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", cap)
+        # a fraction above 1 flags every local minimum of |delta E| as a tangency
+        monkeypatch.setattr(spectroscopy, "TANGENCY_FRACTION", (1e-6, 2.0)[k % 4 == 1])
+
+        got = crossing_scan(system, field, (g_lo, g_hi), levels, steps)
+        want, degenerate, tangencies = scalar_crossing_scan(
+            system, field, g_lo, g_hi, levels, steps
+        )
+        assert crossing_fields(got.crossings) == crossing_fields(want)
+        assert list(got.degenerate_pairs) == degenerate
+        assert [(int(bits(g)), pair) for g, pair in got.tangency_candidates] == [
+            (int(bits(g)), pair) for g, pair in tangencies
+        ]
+        closed += sum(c.converged and c.bracket_width > 0.0 for c in want)
+        landed += sum(c.bracket_width == 0.0 for c in want)
+        unconverged += sum(not c.converged for c in want)
+        degenerate_pairs += len(degenerate)
+        dips += len(tangencies)
+
+        for rule in spectroscopy.SELECTION_RULES:
+            m = system.levels()[-1]
+            lines = transition_lines(system, field, n_max, rule, m=m, n_max=n_max)
+            if rule == "deltaM1_fixed_n":
+                ladder = system.levels()
+                pairs = [((up, n_max), (down, n_max)) for down, up in zip(ladder, ladder[1:])]
+            elif rule == "deltaN1_fixed_M":
+                pairs = [((m, j + 1), (m, j)) for j in range(n_max + 1)]
+            else:
+                every = [(mq, j) for mq in system.levels() for j in range(n_max + 1)]
+                pairs = [(a, b) for i, a in enumerate(every) for b in every[i + 1:]]
+            magnitudes = [
+                de if de >= 0.0 else -de
+                for de in (_pair_delta_e(system, field, a, b) for a, b in pairs)
+            ]
+            assert sorted(bits([l.delta_e for l in lines]).tolist()) == sorted(
+                bits(magnitudes).tolist()
+            )
+            assert sorted(bits([l.frequency_hz for l in lines]).tolist()) == sorted(
+                bits([de / (TWO_PI * HBAR) for de in magnitudes]).tolist()
+            )
+    # every kind of grid finding and both ends of the stop rule were reached
+    assert min(closed, landed, unconverged, degenerate_pairs, dips) > 5
 
 
 #: SHA-256 of the default ``figure1`` outputs.  The scans are pinned to the

@@ -17,6 +17,7 @@ from parabolic_mr.cli import (
     EXIT_PHYSICS,
     MAX_LEVEL_N,
     MAX_SCAN_STEPS,
+    MAX_SPIN,
     ConfigError,
     figure1_scenario,
     load_config,
@@ -197,6 +198,8 @@ class TestConfigBounds:
             ("invert", "scan_points", 2),
             ("invert", "scan_points", 1),
             ("invert", "scan_points", 0),
+            ("spectrum", "spin", MAX_SPIN + 0.5),
+            ("validate", "spin", 1e12),
         ],
     )
     def test_size_keys_capped(self, tmp_path, capsys, command, key, value):
@@ -222,6 +225,9 @@ class TestConfigBounds:
         scenario = load_config(path)
         assert scenario.n_max == scenario.fixed_n == MAX_LEVEL_N == 1023
         assert scenario.scan_steps == scenario.scan_points == MAX_SCAN_STEPS
+        # 2S + 1 = 1024 projections, as many as the oscillator numbers
+        scenario = load_config(write_config(tmp_path, "spin.json", spin=MAX_SPIN))
+        assert len(scenario.system.levels()) == MAX_LEVEL_N + 1
 
 
 class TestWriteCsv:
@@ -514,16 +520,15 @@ CONTRACT_BASE = dict(
 )
 
 #: JSON texts of wrong values: wrong types, bools, non-finite and
-#: overflowing numbers, and a huge integer.  A huge number that a double
-#: holds is left out: it is a valid ``spin``, which has no upper bound yet,
-#: and a spin of 1e12 asks for 2e12 levels.
+#: overflowing numbers, a huge integer and a huge finite number.
 WRONG_VALUES = (
     '"x"', "null", "[]", "{}", "[1.0]", "[[1.0]]", "true", "false",
-    "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-1" + "0" * 400,
+    "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-1" + "0" * 400, "1e12",
 )
 
 #: Out-of-range values of the sized keys, and M values that are no projection.
 OUT_OF_RANGE = {
+    "spin": (repr(MAX_SPIN + 0.5), "1e12", "-0.5", "0.7"),
     "n_max": ("-1", str(MAX_LEVEL_N + 1), str(2**64)),
     "fixed_n": ("-1", str(MAX_LEVEL_N + 1)),
     "levels": ("[[1.0, -1]]", f"[[1.0, {MAX_LEVEL_N + 1}]]", "[[0.7, 0]]", "[[1.0, 0], [1.0, 0]]"),
@@ -582,7 +587,7 @@ class TestCliContract:
             code, err = run_quietly([command, "--config", config, "--out", str(tmp_path / command)])
             assert (code, err) == (EXIT_OK, "")
 
-    # the space of changes is finite (about 440), and 500 examples let the
+    # the space of changes is finite (about 470), and 500 examples let the
     # search run through all of it in a few seconds
     @settings(max_examples=500)
     @given(mutation=MUTATIONS)

@@ -342,6 +342,16 @@ def test_quickstart_validation_matches_pinned_digest(tmp_path, capsys):
     assert digest == QUICKSTART_VALIDATION_SHA256
 
 
+def test_report_of_numpy_scalar_parameters_writes_as_json():
+    # a numpy-scalar gamma makes max_rel_error a numpy float; passed() must
+    # still be a Python bool, or json refuses the report
+    system = SpinSystem(mass=2e-26, gamma=np.float64(8e10), spin=1.5, omega=1.1e5, offset=2e-6)
+    field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
+    report = validate_levels(system, field, [(1.5, 0), (-0.5, 1)], tol=1e-8)
+    assert type(report.passed()) is bool and report.passed()
+    assert json.loads(json.dumps(report.to_dict()))["passed"] is True
+
+
 def test_converged_spectrum_calls_no_closed_form_rule(monkeypatch):
     # the oracle checks the closed forms, so it must reach its answers, and
     # its own dissociation refusal, with every closed-form energy and the

@@ -1,6 +1,7 @@
 """Repository-level checks: the runtime dependency set, the public surface,
-where dissociation is decided, the README's config-key table, the module
-entry point and the benchmark harness."""
+where dissociation is decided, the argument checks of a crossing scan, the
+README's config-key table, the module entry point and the benchmark
+harness."""
 
 import ast
 import glob
@@ -72,6 +73,47 @@ def test_dissociation_error_raised_in_three_places():
         ("oracle", "_bound_mbar"),
         ("spectroscopy", "crossing_scan"),
     ]
+
+
+def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
+    # the grid checks each level's M once per evaluation and bisection checks
+    # none of its steps: only the energies of brackets that pass the width
+    # test go through energy_level and its check
+    from parabolic_mr import core, spectroscopy
+    from parabolic_mr.cli import figure1_scenario
+
+    scenario = figure1_scenario()
+    levels = scenario.all_levels()
+    checked = []
+
+    def counting(system, m):
+        checked.append(m)
+        return projection(system, m)
+
+    projection = core._projection
+    monkeypatch.setattr(core, "_projection", counting)
+    monkeypatch.setattr(spectroscopy, "_projection", counting)
+
+    def scan():
+        checked.clear()
+        result = spectroscopy.crossing_scan(
+            scenario.system, scenario.field, (scenario.gbar_min, scenario.gbar_max),
+            levels, steps=scenario.scan_steps,
+        )
+        return result, len(checked)
+
+    result, count = scan()
+    assert len(result.crossings) == 39 and all(c.converged for c in result.crossings)
+    assert count <= 3 * len(levels) + 2 * len(result.crossings)
+    # no bracket closes within 10 or 20 steps: the count is the grid's alone,
+    # plus the one evaluation of the open brackets' energies
+    counts = []
+    for cap in (10, 20):
+        monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", cap)
+        result, count = scan()
+        assert not any(c.converged for c in result.crossings)
+        counts.append(count)
+    assert counts == [3 * len(levels)] * 2
 
 
 def test_readme_key_table_mirrors_config_schema():
