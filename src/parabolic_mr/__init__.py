@@ -12,14 +12,12 @@ from .core import (
     EnergyDecomposition,
     FieldProfile,
     SpinSystem,
-    derived_params,
     effective_frequency,
     eigenfunction,
     eigenfunction_center,
     energy_decomposition,
     energy_level,
     gbar_critical,
-    hermite,
     oscillator_wavefunction,
     scaled_spin_number,
     stability_check,
@@ -66,14 +64,12 @@ __all__ = [
     "EnergyDecomposition",
     "FieldProfile",
     "SpinSystem",
-    "derived_params",
     "effective_frequency",
     "eigenfunction",
     "eigenfunction_center",
     "energy_decomposition",
     "energy_level",
     "gbar_critical",
-    "hermite",
     "oscillator_wavefunction",
     "scaled_spin_number",
     "stability_check",

@@ -14,11 +14,13 @@ Everything here is exact closed form; the grid diagonalization in
 Internally energies are handled in units of hbar*omega and lengths in units
 of sqrt(hbar/(mass*omega)); joules and meters appear only at the API surface.
 
-``scaled_spin_number`` and ``energy_level`` also evaluate over numpy arrays:
-``SpinSystem.omega``, ``FieldProfile.gbar``, M and n may each be an array,
-and the result broadcasts over them.  Scalars and arrays run the same
-expression, and each element of an array result is bit-identical to the
-scalar call on that element's values.
+Every closed form, here and in :mod:`parabolic_mr.spectroscopy`, reads a
+sector's mbar and sqrt(1 - mbar) from ``_sector``, which also refuses an
+unbound sector.  ``scaled_spin_number`` and ``energy_level`` also evaluate
+over numpy arrays: ``SpinSystem.omega``, ``FieldProfile.gbar``, M and n may
+each be an array, and the result broadcasts over them.  Scalars and arrays
+run the same expression, and each element of an array result is
+bit-identical to the scalar call on that element's values.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ class FieldProfile:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Per-projection derived quantities.
+    """Derived quantities of the worst projection, as :func:`stability_check` reports them.
 
-    omega_eff and center are NaN when the sector is dissociated (mbar >= 1).
+    omega_eff and center are NaN when the system is not stable.
     """
 
     m_quantum: float
@@ -229,27 +231,6 @@ def _require_bound(mbar, mq) -> None:
     )
 
 
-def hermite(n: int, xi):
-    """Physicists' Hermite polynomial H_n(xi) by the three-term recurrence.
-
-    Accepts a scalar or ndarray ``xi``.  Guarded at n <= 200.
-    """
-    n = _require_int(n)
-    if n > MAX_HERMITE_ORDER:
-        raise ValueError(f"order too large: n={n} exceeds {MAX_HERMITE_ORDER}")
-    scalar = not isinstance(xi, np.ndarray)
-    x = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("xi must be finite")
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return float(h_prev) if scalar else h_prev
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return float(h) if scalar else h
-
-
 def _hermite_normalized(n: int, xi: np.ndarray) -> np.ndarray:
     """H_n(xi) / sqrt(2^n n!) via a normalized recurrence (no factorial overflow)."""
     h_prev = np.ones_like(xi)
@@ -289,6 +270,14 @@ def _mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
     return 2.0 * system.gamma * field.gbar * HBAR * mq / (system._omega_squared * system.mass)
 
 
+def _sector(system: SpinSystem, field: FieldProfile, mq: float):
+    """(mbar, sqrt(1 - mbar)) of a validated projection, over scalars or arrays;
+    refuses an unbound sector through :func:`_require_bound`."""
+    mbar = _mbar(system, field, mq)
+    _require_bound(mbar, mq)
+    return mbar, _sqrt(1.0 - mbar)
+
+
 def _require_all_bound(system: SpinSystem, field: FieldProfile, ms) -> None:
     """:func:`_require_bound` over several projections, naming the worst.
 
@@ -307,41 +296,15 @@ def scaled_spin_number(system: SpinSystem, field: FieldProfile, m: float) -> flo
 
 def effective_frequency(system: SpinSystem, field: FieldProfile, m: float) -> float:
     """Sector frequency omega*sqrt(1 - mbar); raises once mbar >= 1."""
-    mq = _projection(system, m)
-    mbar = scaled_spin_number(system, field, mq)
-    _require_bound(mbar, mq)
-    return system.omega * math.sqrt(1.0 - mbar)
+    _, root = _sector(system, field, _projection(system, m))
+    return system.omega * root
 
 
 def gbar_critical(system: SpinSystem) -> float:
     """Dissociation bound mass*omega^2 / (2*|gamma|*hbar*S); inf for S = 0 or gamma = 0."""
     if system.spin == 0.0 or system.gamma == 0.0:
         return math.inf
-    return system.mass * system.omega**2 / (2.0 * abs(system.gamma) * HBAR * system.spin)
-
-
-def _derived_params(
-    system: SpinSystem, field: FieldProfile, mq: float, mbar: float, stable: bool
-) -> DerivedParams:
-    """DerivedParams of a validated projection; omega_eff and center are NaN unless stable."""
-    crit = gbar_critical(system)
-    if not stable:
-        return DerivedParams(mq, mbar, math.nan, math.nan, crit, False)
-    return DerivedParams(
-        mq,
-        mbar,
-        system.omega * math.sqrt(1.0 - mbar),
-        eigenfunction_center(system, field, mq),
-        crit,
-        True,
-    )
-
-
-def derived_params(system: SpinSystem, field: FieldProfile, m: float) -> DerivedParams:
-    """mbar, effective frequency, eigenfunction center and stability for one M."""
-    mq = _projection(system, m)
-    mbar = scaled_spin_number(system, field, mq)
-    return _derived_params(system, field, mq, mbar, stable=not (mbar >= 1.0))
+    return system.mass * system._omega_squared / (2.0 * abs(system.gamma) * HBAR * system.spin)
 
 
 def stability_check(system: SpinSystem, field: FieldProfile) -> DerivedParams:
@@ -353,16 +316,22 @@ def stability_check(system: SpinSystem, field: FieldProfile) -> DerivedParams:
     |gbar| = gbar_crit counts as dissociated (the ground state there is not
     normalizable), even where the rounded mbar of that projection reads
     just below 1.  Just inside the bound the rounded mbar can already read
-    1 or more; that too is reported unstable.  S = 0 (or gamma = 0) is
-    unconditionally stable.
+    1 or more; that too is reported unstable, with omega_eff and center NaN.
+    S = 0 (or gamma = 0) is unconditionally stable.
     """
-    if system.gamma * field.gbar >= 0.0:
-        worst = system.spin
-    else:
-        worst = -system.spin
-    mbar = scaled_spin_number(system, field, worst)
-    stable = abs(field.gbar) < gbar_critical(system) and mbar < 1.0
-    return _derived_params(system, field, worst, mbar, stable)
+    worst = system.spin if system.gamma * field.gbar >= 0.0 else -system.spin
+    mbar = _mbar(system, field, worst)
+    crit = gbar_critical(system)
+    if not (abs(field.gbar) < crit and mbar < 1.0):
+        return DerivedParams(worst, mbar, math.nan, math.nan, crit, False)
+    return DerivedParams(
+        worst,
+        mbar,
+        effective_frequency(system, field, worst),
+        eigenfunction_center(system, field, worst),
+        crit,
+        True,
+    )
 
 
 def _field_at_offset(system: SpinSystem, field: FieldProfile) -> float:
@@ -389,10 +358,9 @@ def energy_level(system: SpinSystem, field: FieldProfile, m: float, n: int) -> f
     """
     mq = _projection(system, m)
     n = _require_int(n)
-    mbar = _mbar(system, field, mq)
-    _require_bound(mbar, mq)
+    mbar, root = _sector(system, field, mq)
     # Dimensionless pieces in units of hbar*omega; scale back once at the end.
-    quantum = _sqrt(1.0 - mbar) * (n + 0.5)
+    quantum = root * (n + 0.5)
     zeeman = system.gamma * _field_at_offset(system, field) * mq / system.omega
     slope = system.gamma * _gradient_at_offset(system, field) * mq / system.omega
     shift = slope * slope * HBAR / (2.0 * system.mass * system.omega * (1.0 - mbar))
@@ -414,17 +382,16 @@ def energy_decomposition(
         raise ValueError("decomposition undefined: requires b0 = 0")
     if field.gbar == 0.0:
         raise ValueError("decomposition undefined: requires gbar != 0")
-    mbar = scaled_spin_number(system, field, mq)
-    _require_bound(mbar, mq)
+    mbar, root = _sector(system, field, mq)
     a = system.offset
     # The (g/gbar) ratios are folded away via mbar/gbar = 2*gamma*hbar*M/(omega^2*mass),
     # which keeps every term finite as gbar -> 0 (each is algebraically gbar-free
     # or carries mbar's own factor of gbar).
-    quantum = HBAR * system.omega * (n + 0.5) * math.sqrt(1.0 - mbar)
+    quantum = HBAR * system.omega * (n + 0.5) * root
     mixed = -system.gamma * field.g * a * HBAR * mq / (1.0 - mbar)
-    pure_a = -0.5 * system.mass * system.omega**2 * a * a * mbar / (1.0 - mbar)
+    pure_a = -0.5 * system.mass * system._omega_squared * a * a * mbar / (1.0 - mbar)
     pure_g = -((system.gamma * field.g * HBAR * mq) ** 2) / (
-        2.0 * system.mass * system.omega**2 * (1.0 - mbar)
+        2.0 * system.mass * system._omega_squared * (1.0 - mbar)
     )
     total = quantum + mixed + pure_a + pure_g
     return EnergyDecomposition(quantum, mixed, pure_a, pure_g, total)
@@ -438,14 +405,9 @@ def eigenfunction_center(system: SpinSystem, field: FieldProfile, m: float) -> f
     down to relative 1e-6).
     """
     mq = _projection(system, m)
-    mbar = scaled_spin_number(system, field, mq)
-    _require_bound(mbar, mq)
-    shift = (
-        system.gamma
-        * _gradient_at_offset(system, field)
-        * HBAR
-        * mq
-        / (system.mass * system.omega**2 * (1.0 - mbar))
+    mbar, _ = _sector(system, field, mq)
+    shift = system.gamma * _gradient_at_offset(system, field) * HBAR * mq / (
+        system.mass * system._omega_squared * (1.0 - mbar)
     )
     return system.offset + shift
 

@@ -31,9 +31,9 @@ deterministic.
 
 This module validates the closed forms in :mod:`parabolic_mr.core`; it never
 calls them for the quantities under test (the potential above is typed out
-directly).  It reads mbar from ``scaled_spin_number`` for its meshing hints
-(how wide to make the grid) and for its own dissociation check, which stays
-apart from the closed forms' rule; the grid center is typed out here too.
+directly).  Its meshing hints (the grid center and width) and its own
+dissociation check type out mbar here too, apart from the closed forms' rule;
+``energy_level`` is called only to compare against, in ``validate_levels``.
 """
 
 from __future__ import annotations
@@ -44,13 +44,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .constants import HBAR, oscillator_length
-from .core import (
-    FieldProfile,
-    SpinSystem,
-    _projection,
-    energy_level,
-    scaled_spin_number,
-)
+from .core import FieldProfile, SpinSystem, _projection, energy_level
 from .errors import ConvergenceError, DissociationError
 
 #: Smallest relative tolerance ``converged_spectrum`` accepts.  Successive
@@ -183,8 +177,10 @@ class ValidationReport:
 
 
 def _bound_mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
-    """mbar of a validated projection; refuses a sector unbounded below (mbar >= 1)."""
-    mbar = scaled_spin_number(system, field, mq)
+    """mbar of a validated projection; refuses a sector unbounded below (mbar >= 1).
+
+    Typed out in the closed forms' operation order, so no grid moves."""
+    mbar = 2.0 * system.gamma * field.gbar * HBAR * mq / (system.omega**2 * system.mass)
     if mbar >= 1.0:
         raise DissociationError(
             f"unbounded below: no discrete spectrum guaranteed for m_quantum={mq} "

@@ -5,8 +5,9 @@ parameter, quantum/classical regime weights, and the inverse problem of
 recovering the trap frequency from the spin-sublevel splittings of a single
 oscillator level.
 
-Line energies are evaluated from the analytically cancelled pairwise
-difference of eigenvalues rather than by subtracting two large energies;
+Line energies come from one pair kernel, ``_pair_delta_e``: the analytically
+cancelled difference of two eigenvalues, each sector's sqrt(1 - mbar) read
+from ``core._sector``, rather than a subtraction of two large energies;
 besides avoiding cancellation error, this makes the homogeneous-field line
 set (g = gbar = 0) exactly independent of omega, bit for bit, which is the
 physical statement that a uniform field cannot reveal the trap frequency.
@@ -35,11 +36,9 @@ from .core import (
     _mbar,
     _projection,
     _require_all_bound,
-    _require_bound,
     _require_int,
-    _sqrt,
+    _sector,
     energy_level,
-    scaled_spin_number,
 )
 from .errors import DissociationError, InversionError
 
@@ -48,6 +47,11 @@ SELECTION_RULES = ("deltaM1_fixed_n", "deltaN1_fixed_M", "all_pairs_within")
 #: |delta E| dips below this fraction of the level scale without a sign flip
 #: are flagged as possible tangencies (even-order contacts are not crossings).
 TANGENCY_FRACTION = 1e-6
+
+#: Most lines ``all_pairs_within`` may build: it pairs every two of the
+#: (2S + 1)(n_max + 1) levels, one Python object per line; 2**18 lines take
+#: about 2 s and 150 MB, and the largest config would ask for about 5e11.
+MAX_LINES = 2**18
 
 #: Bisection steps per bracketed crossing; a bracket still open after them is
 #: reported at its midpoint with ``converged=False``.
@@ -122,23 +126,13 @@ def _pair_delta_e(
     level_a: tuple[float, int],
     level_b: tuple[float, int],
 ) -> float:
-    """Signed E_a - E_b with the common Zeeman and shift factors cancelled.
-
-    Checks both projections, then evaluates :func:`_pair_kernel`.  Like
-    :func:`energy_level`, it broadcasts when system.omega, field.gbar or a
-    level's M and n are numpy arrays.
+    """Signed E_a - E_b, with the common Zeeman and shift factors cancelled, of
+    levels whose M are already checked projections.  Like :func:`energy_level`,
+    it broadcasts when system.omega, field.gbar or a level's M and n are arrays.
     """
     (ma, na), (mb, nb) = level_a, level_b
-    return _pair_kernel(system, field, (_projection(system, ma), na), (_projection(system, mb), nb))
-
-
-def _pair_kernel(system: SpinSystem, field: FieldProfile, level_a, level_b) -> float:
-    """:func:`_pair_delta_e` of levels whose M are already checked projections."""
-    (ma, na), (mb, nb) = level_a, level_b
-    mbar_a, mbar_b = _mbar(system, field, ma), _mbar(system, field, mb)
-    _require_bound(mbar_a, ma)
-    _require_bound(mbar_b, mb)
-    ra, rb = _sqrt(1.0 - mbar_a), _sqrt(1.0 - mbar_b)
+    _, ra = _sector(system, field, ma)
+    _, rb = _sector(system, field, mb)
     osc = HBAR * system.omega * ((na + 0.5) * ra - (nb + 0.5) * rb)
     zeeman = system.gamma * _field_at_offset(system, field) * HBAR * (ma - mb)
     slope = system.gamma * _gradient_at_offset(system, field)
@@ -154,7 +148,7 @@ def _make_line(
     level_b: tuple[float, int],
 ) -> TransitionLine:
     """The line between two levels whose M are already checked projections."""
-    de = _pair_kernel(system, field, level_a, level_b)
+    de = _pair_delta_e(system, field, level_a, level_b)
     if de >= 0.0:
         lo, hi = level_b, level_a
     else:
@@ -189,7 +183,8 @@ def transition_lines(
                       projection given by ``m``;
     all_pairs_within  every pair of distinct levels with quantum numbers up
                       to ``n_max`` (default: n), optionally dropping lines
-                      above ``cutoff_hz``.
+                      above ``cutoff_hz``; more than ``MAX_LINES``
+                      candidate lines raise ``ValueError`` before any is built.
 
     Raises :class:`DissociationError` naming the worst unbound projection
     (the largest mbar) among those the rule involves.
@@ -211,8 +206,14 @@ def transition_lines(
         pairs = [((mq, j + 1), (mq, j)) for j in range(n + 1)]
     else:  # all_pairs_within
         top = n if n_max is None else _require_int(n_max, "n_max")
-        levels = [(mq, j) for mq in system.levels() for j in range(top + 1)]
-        _require_all_bound(system, field, system.levels())
+        ladder = system.levels()
+        size = len(ladder) * (top + 1)
+        if size * (size - 1) // 2 > MAX_LINES:
+            raise ValueError(
+                f"all_pairs_within asks for {size * (size - 1) // 2} lines, more than {MAX_LINES}"
+            )
+        _require_all_bound(system, field, ladder)
+        levels = [(mq, j) for mq in ladder for j in range(top + 1)]
         pairs = [
             (levels[i], levels[j])
             for i in range(len(levels))
@@ -226,9 +227,9 @@ def transition_lines(
     return lines
 
 
-def _stability_interval(system: SpinSystem, mq: float) -> tuple[float, float]:
+def _stability_interval(system: SpinSystem, field: FieldProfile, mq: float) -> tuple[float, float]:
     """Open gbar interval on which sector M stays bound."""
-    slope = 2.0 * system.gamma * HBAR * mq / (system.omega**2 * system.mass)
+    slope = _mbar(system, replace(field, gbar=1.0), mq)  # mbar per unit gbar
     if slope == 0.0:
         return (-math.inf, math.inf)
     bound = 1.0 / slope
@@ -270,7 +271,7 @@ def crossing_scan(
 
     lo_allowed, hi_allowed = -math.inf, math.inf
     for mq, _ in level_list:
-        s_lo, s_hi = _stability_interval(system, mq)
+        s_lo, s_hi = _stability_interval(system, field_base, mq)
         lo_allowed, hi_allowed = max(lo_allowed, s_lo), min(hi_allowed, s_hi)
     margin = 1e-12 * max(abs(lo_allowed), abs(hi_allowed), 1.0)
     if math.isfinite(lo_allowed):
@@ -364,7 +365,7 @@ def _bisect_crossings(
         if not len(a):
             break
         mid, width = 0.5 * (a + b), b - a
-        fm = _pair_kernel(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
+        fm = _pair_delta_e(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
         width_ok = width <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
         right = (fm > 0.0) == (fa > 0.0)  # the sign change lies right of mid
         a, b, fa = np.where(right, mid, a), np.where(right, b, mid), np.where(right, fm, fa)
@@ -420,12 +421,10 @@ def regime_weights(
             "regime weights undefined for these parameters "
             "(require b0 = 0, offset = 0, gbar != 0)"
         )
-    mbar = scaled_spin_number(system, field, mq)
-    _require_bound(mbar, mq)
-    quantum_weight = math.sqrt(1.0 - mbar)
+    mbar, quantum_weight = _sector(system, field, mq)
     classical_weight = mbar * mbar / (4.0 * (1.0 - mbar))
     ratio_gv = field.g / field.gbar
-    classical_scale = 0.5 * system.mass * system.omega**2 * ratio_gv * ratio_gv
+    classical_scale = 0.5 * system.mass * system._omega_squared * ratio_gv * ratio_gv
     quantum_energy = HBAR * system.omega * (n + 0.5)
     ratio = classical_weight * classical_scale / (quantum_weight * quantum_energy)
     return RegimeWeights(quantum_weight, classical_weight, classical_scale, ratio)

@@ -28,7 +28,7 @@ from parabolic_mr.cli import (
 from parabolic_mr.constants import TWO_PI
 from parabolic_mr.core import FieldProfile, SpinSystem
 from parabolic_mr.oracle import MIN_TOL
-from parabolic_mr.spectroscopy import transition_lines
+from parabolic_mr.spectroscopy import MAX_LINES, transition_lines
 
 BASE_CONFIG = {
     "mass": 1e-26,
@@ -208,6 +208,12 @@ class TestConfigBounds:
             measured_lines=[1000.0, 2000.0], **{key: value},
         )
         assert_config_error(tmp_path, capsys, command, path)
+
+    def test_all_pairs_within_capped_at_max_lines(self, tmp_path, capsys):
+        # spin 1 with n_max 241 pairs 726 levels into 263175 lines, above MAX_LINES
+        path = write_config(tmp_path, rule="all_pairs_within", n_max=241)
+        err = assert_config_error(tmp_path, capsys, "lines", path)
+        assert f"263175 lines, more than {MAX_LINES}" in err
 
     def test_floors_themselves_accepted(self, tmp_path):
         path = write_config(

@@ -21,7 +21,6 @@ from parabolic_mr import (
     energy_decomposition,
     energy_level,
     gbar_critical,
-    hermite,
     oscillator_wavefunction,
     scaled_spin_number,
     regime_weights,
@@ -29,6 +28,7 @@ from parabolic_mr import (
     transition_lines,
 )
 from parabolic_mr.cli import EXIT_PHYSICS, run
+from parabolic_mr.core import _hermite_normalized
 
 ELECTRON_GAMMA = -1.76085963e11
 
@@ -80,35 +80,34 @@ class TestDomainTypes:
 
 
 class TestHermite:
+    # the normalized recurrence H_n(xi) / sqrt(2^n n!) behind oscillator_wavefunction
     def test_order_zero_is_one(self):
-        assert hermite(0, 0.7) == 1.0
+        assert _hermite_normalized(0, np.array([0.7]))[0] == 1.0
 
     def test_order_one(self):
-        assert hermite(1, 0.5) == 1.0
+        assert _hermite_normalized(1, np.array([0.5]))[0] == 0.5 * math.sqrt(2.0)
 
     def test_order_three_hand_recurrence(self):
-        # H3(x) = 8x^3 - 12x, evaluated at 2: 64 - 24
-        assert hermite(3, 2.0) == 40.0
+        # H3(x) = 8x^3 - 12x, evaluated at 2: 64 - 24, over sqrt(2^3 3!)
+        value = _hermite_normalized(3, np.array([2.0]))[0]
+        assert value == pytest.approx(40.0 / math.sqrt(48.0), rel=1e-15)
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="order too large"):
-            hermite(201, 0.0)
-
-    def test_rejects_non_finite_argument(self):
-        with pytest.raises(ValueError):
-            hermite(2, math.nan)
+            oscillator_wavefunction(201, 3.1e5, 1.2e-26, 0.0)
 
     @given(st.integers(0, 30), st.floats(-5.0, 5.0))
     def test_matches_numpy_polynomial_module(self, n, xi):
         coeffs = [0.0] * n + [1.0]
-        expected = float(np_hermite.hermval(xi, coeffs))
-        assert hermite(n, xi) == pytest.approx(expected, rel=1e-10, abs=1e-8)
+        expected = float(np_hermite.hermval(xi, coeffs)) / math.sqrt(2.0**n * math.factorial(n))
+        value = _hermite_normalized(n, np.array([xi]))[0]
+        assert value == pytest.approx(expected, rel=1e-10, abs=1e-8)
 
     def test_vectorized_over_xi(self):
         xs = np.linspace(-2, 2, 7)
-        vals = hermite(4, xs)
+        vals = _hermite_normalized(4, xs)
         assert vals.shape == xs.shape
-        assert vals[3] == hermite(4, 0.0)
+        assert vals[3] == _hermite_normalized(4, np.array([0.0]))[0]
 
 
 class TestOscillatorWavefunction:
@@ -260,12 +259,11 @@ class TestStabilityCheck:
 
 
 class TestDerivedParams:
+    # stability_check reports the derived quantities of the worst projection
     def test_fields_match_operations(self):
-        from parabolic_mr import derived_params
-
         system = simple_system()
-        field = FieldProfile(0.01, 0.5, 40.0)
-        params = derived_params(system, field, -1.5)
+        field = FieldProfile(0.01, 0.5, -40.0)
+        params = stability_check(system, field)
         assert params.m_quantum == -1.5
         assert params.mbar == scaled_spin_number(system, field, -1.5)
         assert params.omega_eff == effective_frequency(system, field, -1.5)
@@ -274,10 +272,9 @@ class TestDerivedParams:
         assert params.stable
 
     def test_unstable_sector_flagged_with_nan(self):
-        from parabolic_mr import derived_params
-
         system = SpinSystem(mass=2.0 * HBAR, gamma=1.0, spin=1.0, omega=1.0, offset=0.0)
-        params = derived_params(system, FieldProfile(0.0, 0.0, 1.0), 1.0)
+        params = stability_check(system, FieldProfile(0.0, 0.0, 1.0))
+        assert params.m_quantum == 1.0
         assert not params.stable
         assert math.isnan(params.omega_eff) and math.isnan(params.center)
         assert params.mbar == 1.0

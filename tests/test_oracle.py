@@ -23,6 +23,7 @@ from parabolic_mr import (
     eigenfunction_center,
     energy_level,
     expectation_position,
+    gbar_critical,
     lowest_eigenpairs,
     lowest_eigenvalues,
     scaled_spin_number,
@@ -354,8 +355,8 @@ def test_report_of_numpy_scalar_parameters_writes_as_json():
 
 def test_converged_spectrum_calls_no_closed_form_rule(monkeypatch):
     # the oracle checks the closed forms, so it must reach its answers, and
-    # its own dissociation refusal, with every closed-form energy and the
-    # closed forms' dissociation rule out of reach
+    # its own dissociation refusal, with every closed-form energy, mbar and
+    # the closed forms' dissociation rule out of reach
     system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
     field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
     expected = [converged_spectrum(system, field, m, 5) for m in system.levels()]
@@ -364,7 +365,10 @@ def test_converged_spectrum_calls_no_closed_form_rule(monkeypatch):
         raise AssertionError("the oracle called a closed form")
 
     for module in (core, oracle):
-        for name in ("energy_level", "effective_frequency", "_require_bound"):
+        for name in (
+            "energy_level", "effective_frequency", "scaled_spin_number",
+            "_mbar", "_sector", "_require_bound",
+        ):
             monkeypatch.setattr(module, name, refuse, raising=False)
     for m, (values, report) in zip(system.levels(), expected):
         got, got_report = converged_spectrum(system, field, m, 5)
@@ -376,3 +380,33 @@ def test_converged_spectrum_calls_no_closed_form_rule(monkeypatch):
     boundary = SpinSystem(mass=2.0 * HBAR, gamma=1.0, spin=1.0, omega=1.0, offset=0.0)
     with pytest.raises(DissociationError, match="unbounded below"):
         converged_spectrum(boundary, FieldProfile(0.0, 0.0, 1.0), 1.0, 3)
+
+
+@pytest.mark.parametrize("bound_fraction", [None, 0.6])
+def test_meshing_hints_change_cost_not_answers(monkeypatch, bound_fraction):
+    # auto_grid's center and width are hints: moving the center by 0.5 to 2
+    # oscillator lengths, or sizing the width as if mbar were 0.7x or 1.3x,
+    # leaves every converged eigenvalue within tol.  The quickstart's mbar is
+    # about 4e-6, so a second field puts the worst sector at mbar = 0.6.
+    system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+    field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
+    if bound_fraction is not None:
+        field = replace(field, gbar=bound_fraction * gbar_critical(system))
+    tol = 1e-10
+    expected = {m: converged_spectrum(system, field, m, 5, tol)[0] for m in system.levels()}
+    place = oracle.auto_grid
+    for shift in (0.5, -1.0, 2.0):
+        for factor in (0.7, 1.3):
+
+            def perturbed(system, field, m, k, n_points):
+                grid = place(system, field, m, k, n_points)
+                mbar = scaled_spin_number(system, field, m)
+                stretch = ((1.0 - mbar) / (1.0 - factor * mbar)) ** 0.25
+                half = 0.5 * (grid.u_max - grid.u_min) * stretch
+                center = 0.5 * (grid.u_max + grid.u_min) + shift
+                return Grid(center - half, center + half, n_points, grid.length_scale)
+
+            monkeypatch.setattr(oracle, "auto_grid", perturbed)
+            for m, want in expected.items():
+                got, _ = converged_spectrum(system, field, m, 5, tol)
+                assert np.all(np.abs(got - want) <= tol * np.abs(want)), (shift, factor, m)

@@ -133,6 +133,20 @@ class TestTransitionLines:
         )
         assert len(trimmed) == 8
 
+    def test_all_pairs_refused_above_max_lines(self, monkeypatch):
+        # 3 x 242 levels pair into 263175 lines, just above the cap; one
+        # oscillator level fewer (261003 lines) stays within it
+        assert 723 * 722 // 2 <= spectroscopy.MAX_LINES < 726 * 725 // 2
+        system = larmor_system(spin=1.0)
+        field = FieldProfile(0.01, 0.001, 20.0)
+
+        def refuse(*args):
+            raise AssertionError("a line was built")
+
+        monkeypatch.setattr(spectroscopy, "_make_line", refuse)
+        with pytest.raises(ValueError, match="263175 lines"):
+            transition_lines(system, field, 0, rule="all_pairs_within", n_max=241)
+
     def test_dissociated_sector_named_in_error(self):
         system = larmor_system()
         bad = FieldProfile(0.0, 0.0, -1e7)  # gamma < 0: adverse sector is M = +3/2

@@ -1,7 +1,7 @@
 """Repository-level checks: the runtime dependency set, the public surface,
-where dissociation is decided, the argument checks of a crossing scan, the
-README's config-key table, the module entry point and the benchmark
-harness."""
+where dissociation is decided and mbar derived, what the oracle imports, the
+argument checks of a crossing scan, the README's config-key table, the
+module entry point and the benchmark harness."""
 
 import ast
 import glob
@@ -32,9 +32,9 @@ def test_public_names_are_pinned():
     assert sorted(parabolic_mr.__all__) == sorted([
         "ELECTRON_MASS", "GAMMA_ELECTRON", "HBAR", "oscillator_length",
         "DerivedParams", "EnergyDecomposition", "FieldProfile",
-        "SpinSystem", "derived_params", "effective_frequency", "eigenfunction",
+        "SpinSystem", "effective_frequency", "eigenfunction",
         "eigenfunction_center", "energy_decomposition", "energy_level",
-        "gbar_critical", "hermite", "oscillator_wavefunction",
+        "gbar_critical", "oscillator_wavefunction",
         "scaled_spin_number", "stability_check",
         "ConvergenceError", "DissociationError", "InversionError", "PhysicsError",
         "UnidentifiableError",
@@ -49,15 +49,21 @@ def test_public_names_are_pinned():
     assert all(hasattr(parabolic_mr, name) for name in parabolic_mr.__all__)
 
 
+def _module_trees():
+    """The parsed source of each package module, by module name."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "parabolic_mr", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.splitext(os.path.basename(path))[0]] = ast.parse(fh.read())
+    return trees
+
+
 def test_dissociation_error_raised_in_three_places():
     # one rule for the closed forms (core._require_bound), one check of the
     # oracle's own (kept apart so the oracle stays independent), and the
     # crossing scan's refusal of a range with no bound stretch at all
     sites = []
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "parabolic_mr", "*.py"))):
-        module = os.path.splitext(os.path.basename(path))[0]
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in _module_trees().items():
         owner = {}
         for top in tree.body:
             for node in ast.walk(top):
@@ -75,10 +81,43 @@ def test_dissociation_error_raised_in_three_places():
     ]
 
 
+def test_one_sector_rule_and_an_oracle_apart_from_it():
+    # the closed forms refuse an unbound sector only where they derive its
+    # mbar and sqrt(1 - mbar) (core._sector) or name the worst of several;
+    # they read omega^2 as squared once by SpinSystem; and the oracle takes
+    # from core only the types, the projection check and the energy it checks
+    trees = _module_trees()
+    callers = [
+        (module, getattr(top, "name", None))
+        for module, tree in trees.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_require_bound"
+    ]
+    assert sorted(callers) == [("core", "_require_all_bound"), ("core", "_sector")]
+    squares = [
+        (module, node.lineno)
+        for module in ("core", "spectroscopy")
+        for node in ast.walk(trees[module])
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and getattr(node.left, "attr", getattr(node.left, "id", None)) == "omega"
+    ]
+    assert squares == []
+    imported = [
+        alias.name
+        for node in ast.walk(trees["oracle"])
+        if isinstance(node, ast.ImportFrom) and node.module == "core"
+        for alias in node.names
+    ]
+    assert sorted(imported) == ["FieldProfile", "SpinSystem", "_projection", "energy_level"]
+
+
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
-    # the grid checks each level's M once per evaluation and bisection checks
-    # none of its steps: only the energies of brackets that pass the width
-    # test go through energy_level and its check
+    # the scan checks each level's M once, the grid's energies check them
+    # once more as one array, and bisection checks none of its steps: only
+    # the energies of brackets that pass the width test go through
+    # energy_level and its check
     from parabolic_mr import core, spectroscopy
     from parabolic_mr.cli import figure1_scenario
 
@@ -105,15 +144,15 @@ def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
     result, count = scan()
     assert len(result.crossings) == 39 and all(c.converged for c in result.crossings)
     assert count <= 3 * len(levels) + 2 * len(result.crossings)
-    # no bracket closes within 10 or 20 steps: the count is the grid's alone,
-    # plus the one evaluation of the open brackets' energies
+    # no bracket closes within 10 or 20 steps: the count is the scan's and
+    # the grid's, plus the one evaluation of the open brackets' energies
     counts = []
     for cap in (10, 20):
         monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", cap)
         result, count = scan()
         assert not any(c.converged for c in result.crossings)
         counts.append(count)
-    assert counts == [3 * len(levels)] * 2
+    assert counts == [len(levels) + 2] * 2
 
 
 def test_readme_key_table_mirrors_config_schema():
