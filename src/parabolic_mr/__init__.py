@@ -38,18 +38,15 @@ from .oracle import (
     converged_spectrum,
     expectation_position,
     lowest_eigenpairs,
-    lowest_eigenvalues,
     validate_levels,
 )
 from .spectroscopy import (
     CrossingPoint,
     CrossingScanResult,
     InversionResult,
-    RegimeWeights,
     TransitionLine,
     crossing_scan,
     identify_frequency,
-    regime_weights,
     transition_lines,
 )
 
@@ -86,16 +83,13 @@ __all__ = [
     "converged_spectrum",
     "expectation_position",
     "lowest_eigenpairs",
-    "lowest_eigenvalues",
     "validate_levels",
     "CrossingPoint",
     "CrossingScanResult",
     "InversionResult",
-    "RegimeWeights",
     "TransitionLine",
     "crossing_scan",
     "identify_frequency",
-    "regime_weights",
     "transition_lines",
     "__version__",
 ]

@@ -22,13 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import (
-    ELECTRON_MASS,
-    GAMMA_ELECTRON,
-    HBAR,
-    OMEGA_UNITS,
-    omega_to_rad_per_s,
-)
+from .constants import ELECTRON_MASS, GAMMA_ELECTRON, HBAR, TWO_PI
 from .core import (
     FieldProfile,
     SpinSystem,
@@ -65,6 +59,10 @@ MAX_SCAN_STEPS = 2**16
 #: are capped like the oscillator numbers, at MAX_LEVEL_N + 1.
 MAX_SPIN = MAX_LEVEL_N / 2
 
+#: Factor to rad/s of each unit ``omega`` and the bracket ends may be given
+#: in; the library takes rad/s only.
+_OMEGA_UNITS = {"rad/s": 1.0, "Hz": TWO_PI}
+
 
 class ConfigError(ValueError):
     """Scenario file failed strict parsing or invariant validation."""
@@ -80,7 +78,6 @@ class Scenario:
 
     system: SpinSystem
     field: FieldProfile
-    omega_unit: str = "rad/s"
     levels: tuple[tuple[float, int], ...] | None = None
     n_max: int = 4
     fixed_n: int = 0
@@ -203,7 +200,7 @@ _REQUIRED_KEYS = ("mass", "gamma", "spin", "omega", "offset", "b0", "g", "gbar")
 _SCHEMA = {
     **dict.fromkeys(_REQUIRED_KEYS, _number),
     "spin": _spin,
-    "omega_unit": _choice(OMEGA_UNITS),
+    "omega_unit": _choice(tuple(_OMEGA_UNITS)),
     "sample_half_length": _number,
     "levels": _levels,
     "n_max": _level_n,
@@ -229,8 +226,8 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
     """Strict-parse a flat JSON scenario file into a :class:`Scenario`.
 
     ``omega`` and the bracket ends are converted to rad/s according to
-    ``omega_unit`` (config key, overridden by the --omega-unit flag when
-    given).
+    ``omega_unit`` (config key, default ``"rad/s"``, overridden by the
+    --omega-unit flag when given).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -250,15 +247,15 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
             raise ConfigError(f"missing required key: {key}")
     parsed = {key: _SCHEMA[key](value, f"key {key!r}") for key, value in raw.items()}
 
+    unit = parsed.pop("omega_unit", "rad/s")
     if omega_unit_override is not None:
-        parsed["omega_unit"] = omega_unit_override
-    unit = parsed.get("omega_unit", Scenario.omega_unit)
+        unit = omega_unit_override
     if ("bracket_lo" in parsed) != ("bracket_hi" in parsed):
         raise ConfigError("bracket_lo and bracket_hi must be given together")
     try:
         for key in ("omega", "bracket_lo", "bracket_hi"):
             if key in parsed:
-                parsed[key] = omega_to_rad_per_s(parsed[key], unit)
+                parsed[key] *= _OMEGA_UNITS[unit]
         if "bracket_lo" in parsed:
             parsed["bracket"] = (parsed.pop("bracket_lo"), parsed.pop("bracket_hi"))
         system = SpinSystem(**{key: parsed.pop(key) for key in _SYSTEM_KEYS if key in parsed})
@@ -407,7 +404,7 @@ def _cmd_invert(scenario: Scenario, args) -> int:
         path,
         {
             "omega_estimate_rad_per_s": result.omega_estimate,
-            "omega_estimate_hz": result.omega_estimate / (2.0 * math.pi),
+            "omega_estimate_hz": result.omega_estimate / TWO_PI,
             "residual_rms_hz": result.residual_rms_hz,
             "bracket_rad_per_s": list(result.bracket),
             "identifiable": result.identifiable,
@@ -502,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=name != "figure1", help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--omega-unit", choices=list(OMEGA_UNITS), default=None)
+        p.add_argument("--omega-unit", choices=list(_OMEGA_UNITS), default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 

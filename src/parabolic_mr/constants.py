@@ -13,20 +13,6 @@ ELECTRON_MASS = 9.1093837015e-31
 
 TWO_PI = 2.0 * math.pi
 
-OMEGA_UNITS = ("rad/s", "Hz")
-
-
-def omega_to_rad_per_s(value: float, unit: str) -> float:
-    """Convert an angular-frequency value to rad/s.
-
-    ``unit`` is one of ``"rad/s"`` (no-op) or ``"Hz"`` (multiplied by 2*pi).
-    """
-    if unit == "rad/s":
-        return float(value)
-    if unit == "Hz":
-        return TWO_PI * float(value)
-    raise ValueError(f"unknown omega unit {unit!r} (expected one of {OMEGA_UNITS})")
-
 
 def oscillator_length(mass: float, omega: float) -> float:
     """Characteristic oscillator length sqrt(hbar / (mass * omega)) in meters."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from numpy import ndarray
 
-from .constants import HBAR, oscillator_length
+from .constants import HBAR
 from .errors import DissociationError
 
 #: Upward Hermite recurrence stays well-conditioned far beyond this, but the

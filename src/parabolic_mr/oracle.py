@@ -39,7 +39,7 @@ dissociation check type out mbar here too, apart from the closed forms' rule;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +69,13 @@ TAIL_MARGIN = 9.0
 class Grid:
     """Uniform grid in the dimensionless coordinate u = x/length_scale.
 
-    ``length_scale`` is meters per grid unit (1.0 for synthetic matrices).
+    ``length_scale`` is meters per grid unit.
     """
 
     u_min: float
     u_max: float
     n_points: int
-    length_scale: float = 1.0
+    length_scale: float
 
     def __post_init__(self) -> None:
         if not (self.u_min < self.u_max):
@@ -93,19 +93,16 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:
-    """Dense symmetric matrix of H_M/(hbar*omega).
-
-    ``grid`` is None for synthetic matrices assembled directly in tests.
-    """
+    """Dense symmetric matrix of H_M/(hbar*omega), one row per point of ``grid``."""
 
     hamiltonian: np.ndarray
-    m_quantum: float = 0.0
-    grid: Grid | None = None
+    m_quantum: float
+    grid: Grid
 
     def __post_init__(self) -> None:
-        shape = self.hamiltonian.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("hamiltonian must be a square matrix")
+        n = self.grid.n_points
+        if self.hamiltonian.shape != (n, n):
+            raise ValueError(f"hamiltonian must be a {n} x {n} matrix, one row per grid point")
 
     def __len__(self) -> int:
         """Matrix dimension (the number of grid points)."""
@@ -141,7 +138,7 @@ class ValidationReport:
     sectors: tuple[SectorConvergence, ...]
     tolerance: float
     converged: bool
-    max_rel_error: float = dataclass_field(default=math.nan)
+    max_rel_error: float
 
     def passed(self) -> bool:
         return bool(self.converged and self.max_rel_error < self.tolerance)  # not numpy's bool
@@ -257,14 +254,12 @@ def lowest_eigenpairs(mat: SectorMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     """k lowest (eigenvalue, eigenvector) pairs of the symmetric matrix.
 
     Eigenvalues ascend.  Eigenvectors come back as columns normalized under
-    the grid quadrature weight (sum |psi_i|^2 du = 1; du = 1 for synthetic
-    matrices), with a deterministic sign (largest-magnitude component
-    positive).
+    the grid quadrature weight (sum |psi_i|^2 du = 1), with a deterministic
+    sign (largest-magnitude component positive).
     """
     _check_k(mat, k)
     values, vectors = np.linalg.eigh(mat.hamiltonian)
-    du = mat.grid.du if mat.grid is not None else 1.0
-    vectors = vectors[:, :k] / math.sqrt(du)
+    vectors = vectors[:, :k] / math.sqrt(mat.grid.du)
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
     return values[:k], vectors * np.where(lead < 0.0, -1.0, 1.0)
 

@@ -1,9 +1,8 @@
 """Observables built on the closed-form spectrum.
 
 Transition-line lists, level-crossing scans versus the quadratic field
-parameter, quantum/classical regime weights, and the inverse problem of
-recovering the trap frequency from the spin-sublevel splittings of a single
-oscillator level.
+parameter, and the inverse problem of recovering the trap frequency from the
+spin-sublevel splittings of a single oscillator level.
 
 Line energies come from one pair kernel, ``_pair_delta_e``: the analytically
 cancelled difference of two eigenvalues, each sector's sqrt(1 - mbar) read
@@ -68,7 +67,6 @@ class TransitionLine:
     n_to: int
     delta_e: float
     frequency_hz: float
-    frequency_rad: float
 
 
 @dataclass(frozen=True)
@@ -94,21 +92,6 @@ class CrossingScanResult:
     degenerate_pairs: tuple[tuple[tuple[float, int], tuple[float, int]], ...]
     #: (gbar, pair) where |delta E| dipped below tolerance without a sign flip
     tangency_candidates: tuple[tuple[float, tuple[tuple[float, int], tuple[float, int]]], ...]
-
-
-@dataclass(frozen=True)
-class RegimeWeights:
-    """Competing weights of the a = 0 spectrum split.
-
-    quantum_weight = sqrt(1 - mbar) multiplies hbar*omega*(n + 1/2);
-    classical_weight = mbar^2/(4*(1 - mbar)) multiplies the classical
-    oscillator energy scale mass*omega^2*(g/gbar)^2/2.
-    """
-
-    quantum_weight: float
-    classical_weight: float
-    classical_energy_scale: float
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -161,7 +144,6 @@ def _make_line(
         n_to=hi[1],
         delta_e=de,
         frequency_hz=de / (TWO_PI * HBAR),
-        frequency_rad=de / HBAR,
     )
 
 
@@ -401,33 +383,6 @@ def _bisect_crossings(
             for k in range(len(a))
         )
     return found
-
-
-def regime_weights(
-    system: SpinSystem,
-    field: FieldProfile,
-    m: float,
-    n: int,
-) -> RegimeWeights:
-    """Quantum vs classical weights of the a = 0, b0 = 0 spectrum split.
-
-    The ratio (classical term / quantum term for the queried n) grows as g^2
-    at fixed gbar: the linear gradient amplifies the classical oscillation.
-    """
-    mq = _projection(system, m)
-    n = _require_int(n)
-    if field.b0 != 0.0 or system.offset != 0.0 or field.gbar == 0.0:
-        raise ValueError(
-            "regime weights undefined for these parameters "
-            "(require b0 = 0, offset = 0, gbar != 0)"
-        )
-    mbar, quantum_weight = _sector(system, field, mq)
-    classical_weight = mbar * mbar / (4.0 * (1.0 - mbar))
-    ratio_gv = field.g / field.gbar
-    classical_scale = 0.5 * system.mass * system._omega_squared * ratio_gv * ratio_gv
-    quantum_energy = HBAR * system.omega * (n + 0.5)
-    ratio = classical_weight * classical_scale / (quantum_weight * quantum_energy)
-    return RegimeWeights(quantum_weight, classical_weight, classical_scale, ratio)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -25,12 +25,13 @@ from parabolic_mr import (
     expectation_position,
     gbar_critical,
     lowest_eigenpairs,
-    lowest_eigenvalues,
+    oscillator_length,
     scaled_spin_number,
     validate_levels,
 )
 from parabolic_mr import core, oracle
 from parabolic_mr.cli import run
+from parabolic_mr.oracle import lowest_eigenvalues
 
 
 def oscillator_system(**overrides):
@@ -42,15 +43,26 @@ def oscillator_system(**overrides):
 ZERO_FIELD = FieldProfile(0.0, 0.0, 0.0)
 
 
+def system_grid(system, u_min, u_max, n_points):
+    """Grid in the oscillator lengths of ``system``."""
+    return Grid(u_min, u_max, n_points, oscillator_length(system.mass, system.omega))
+
+
+def synthetic_matrix(hamiltonian):
+    """A matrix on a grid of one point per row, du = 1."""
+    n = len(hamiltonian)
+    return SectorMatrix(hamiltonian, 0.0, Grid(0.0, n - 1.0, n, 1.0))
+
+
 class TestGrid:
     def test_rejects_coarse_or_inverted(self):
         with pytest.raises(ValueError, match="grid too coarse"):
-            Grid(-5.0, 5.0, 32)
+            Grid(-5.0, 5.0, 32, 1.0)
         with pytest.raises(ValueError, match="grid too coarse"):
-            Grid(5.0, -5.0, 128)
+            Grid(5.0, -5.0, 128, 1.0)
 
     def test_spacing_and_points(self):
-        grid = Grid(-8.0, 8.0, 65)
+        grid = Grid(-8.0, 8.0, 65, 1.0)
         assert grid.du == pytest.approx(0.25)
         pts = grid.points()
         assert pts[0] == -8.0 and pts[-1] == 8.0 and len(pts) == 65
@@ -75,7 +87,7 @@ class TestBuildSectorHamiltonian:
     def test_zero_field_is_discrete_oscillator(self):
         # sinc-DVR kinetic entries 1/(2du^2) * (pi^2/3 | 2(-1)^(i-j)/(i-j)^2)
         system = oscillator_system()
-        grid = Grid(-8.0, 8.0, 65)  # du = 1/4
+        grid = system_grid(system, -8.0, 8.0, 65)  # du = 1/4
         mat = build_sector_hamiltonian(system, ZERO_FIELD, 0.0, grid)
         u = grid.points()
         kinetic = mat.hamiltonian - np.diag(0.5 * u * u)
@@ -105,7 +117,7 @@ class TestBuildSectorHamiltonian:
 
     def test_m_zero_matrix_field_independent(self):
         system = oscillator_system()
-        grid = Grid(-12.0, 12.0, 129)
+        grid = system_grid(system, -12.0, 12.0, 129)
         mat_a = build_sector_hamiltonian(system, ZERO_FIELD, 0.0, grid)
         mat_b = build_sector_hamiltonian(system, FieldProfile(0.3, 1.7, 90.0), 0.0, grid)
         assert np.array_equal(mat_a.hamiltonian, mat_b.hamiltonian)
@@ -119,16 +131,19 @@ class TestBuildSectorHamiltonian:
 
 
 class TestLowestEigenpairs:
-    def test_two_by_two_analytic(self):
-        mat = SectorMatrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        values, vectors = lowest_eigenpairs(mat, 2)
-        assert values == pytest.approx([1.0, 3.0], rel=1e-14)
-        assert vectors.shape == (2, 2)
+    def test_tridiagonal_analytic(self):
+        # the n x n (2, -1) tridiagonal matrix has eigenvalues 2 - 2cos(j*pi/(n + 1))
+        n = 64
+        mat = synthetic_matrix(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        values, vectors = lowest_eigenpairs(mat, n)
+        j = np.arange(1, n + 1)
+        assert values == pytest.approx(2.0 - 2.0 * np.cos(j * math.pi / (n + 1)), rel=1e-14)
+        assert vectors.shape == (n, n)
 
     def test_diagonal_matrix_returns_sorted_diagonal(self):
-        diag = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
-        mat = SectorMatrix(np.diag(diag))
-        values = lowest_eigenvalues(mat, 5)
+        diag = np.random.default_rng(5).permutation(64).astype(float)
+        mat = synthetic_matrix(np.diag(diag))
+        values = lowest_eigenvalues(mat, 64)
         assert np.array_equal(values, np.sort(diag))
 
     def test_matches_dense_diagonalization(self):
@@ -137,14 +152,14 @@ class TestLowestEigenpairs:
         spectrum = rng.uniform(-5.0, 5.0, 80)
         q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
         dense = (q * spectrum) @ q.T
-        mat = SectorMatrix(0.5 * (dense + dense.T))
+        mat = synthetic_matrix(0.5 * (dense + dense.T))
         values = lowest_eigenvalues(mat, 6)
         assert values == pytest.approx(np.sort(spectrum)[:6], rel=1e-11)
 
     def test_zero_field_eigenvalues_are_n_plus_half(self):
         # spectral convergence: 64 sinc-DVR points already reach round-off
         system = oscillator_system()
-        grid = Grid(-10.0, 10.0, 64)
+        grid = system_grid(system, -10.0, 10.0, 64)
         values = lowest_eigenvalues(build_sector_hamiltonian(system, ZERO_FIELD, 0.0, grid), 5)
         assert np.max(np.abs(values - (np.arange(5) + 0.5))) <= 1e-12
 
@@ -157,11 +172,17 @@ class TestLowestEigenpairs:
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
     def test_k_out_of_range(self):
-        mat = SectorMatrix(np.diag([1.0, 2.0]))
+        mat = synthetic_matrix(np.diag(np.arange(1.0, 65.0)))
         with pytest.raises(ValueError):
-            lowest_eigenpairs(mat, 3)
+            lowest_eigenpairs(mat, 65)
         with pytest.raises(ValueError):
             lowest_eigenvalues(mat, 0)
+
+    def test_matrix_must_match_its_grid(self):
+        with pytest.raises(ValueError, match="64 x 64 matrix"):
+            SectorMatrix(np.eye(70), 0.0, Grid(0.0, 1.0, 64, 1.0))
+        with pytest.raises(ValueError, match="64 x 64 matrix"):
+            SectorMatrix(np.ones((64, 70)), 0.0, Grid(0.0, 1.0, 64, 1.0))
 
 
 class TestConvergedSpectrum:

@@ -18,8 +18,6 @@ from parabolic_mr import (
     energy_level,
     gbar_critical,
     identify_frequency,
-    regime_weights,
-    scaled_spin_number,
     transition_lines,
 )
 import parabolic_mr.spectroscopy as spectroscopy
@@ -64,7 +62,6 @@ class TestTransitionLines:
         lines = transition_lines(system, field, n=0, rule="deltaN1_fixed_M", m=0.0)
         assert len(lines) == 1
         assert lines[0].frequency_hz == pytest.approx(system.omega / TWO_PI, rel=1e-14)
-        assert lines[0].frequency_rad == pytest.approx(system.omega, rel=1e-14)
 
     def test_linear_gradient_spacing_pattern(self):
         # gbar = 0: adjacent-M line frequencies are evenly spaced by
@@ -273,38 +270,6 @@ class TestCrossingScan:
             1 for i in range(steps) if (diffs[i] > 0) != (diffs[i + 1] > 0)
         )
         assert flips == len(result.crossings) > 0
-
-
-class TestRegimeWeights:
-    def test_m_zero_is_purely_quantum(self):
-        system = larmor_system(spin=1.0)
-        field = FieldProfile(0.0, 0.001, 30.0)
-        weights = regime_weights(system, field, 0.0, 0)
-        assert weights.quantum_weight == 1.0
-        assert weights.classical_weight == 0.0
-
-    def test_reference_point_mbar_tenth(self):
-        system, field = build_scenario(1e-26, 1e5, 5e10, 1.0, 0.1, 0.0, 0.8, 0.0)
-        assert scaled_spin_number(system, field, 1.0) == pytest.approx(0.1, rel=1e-12)
-        weights = regime_weights(system, field, 1.0, 0)
-        assert weights.quantum_weight == pytest.approx(math.sqrt(0.9), rel=1e-12)
-        assert weights.classical_weight == pytest.approx(0.01 / 3.6, rel=1e-12)
-
-    def test_doubling_gradient_quadruples_ratio(self):
-        system, field = build_scenario(1e-26, 1e5, 5e10, 1.5, 0.2, 0.0, 0.8, 0.0)
-        base = regime_weights(system, field, 1.5, 1)
-        doubled = regime_weights(system, replace(field, g=2.0 * field.g), 1.5, 1)
-        assert doubled.ratio == 4.0 * base.ratio
-
-    def test_preconditions_enforced(self):
-        system = larmor_system(spin=1.0)
-        with pytest.raises(ValueError, match="regime weights undefined"):
-            regime_weights(system, FieldProfile(0.1, 0.0, 30.0), 1.0, 0)
-        with pytest.raises(ValueError, match="regime weights undefined"):
-            regime_weights(system, FieldProfile(0.0, 0.0, 0.0), 1.0, 0)
-        offset_system = larmor_system(spin=1.0, offset=1e-6)
-        with pytest.raises(ValueError, match="regime weights undefined"):
-            regime_weights(offset_system, FieldProfile(0.0, 0.0, 30.0), 1.0, 0)
 
 
 class TestIdentifyFrequency:

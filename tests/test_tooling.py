@@ -40,10 +40,9 @@ def test_public_names_are_pinned():
         "UnidentifiableError",
         "Grid", "SectorMatrix", "ValidationReport", "auto_grid",
         "build_sector_hamiltonian", "converged_spectrum", "expectation_position",
-        "lowest_eigenpairs", "lowest_eigenvalues", "validate_levels",
-        "CrossingPoint", "CrossingScanResult", "InversionResult", "RegimeWeights",
-        "TransitionLine", "crossing_scan", "identify_frequency", "regime_weights",
-        "transition_lines",
+        "lowest_eigenpairs", "validate_levels",
+        "CrossingPoint", "CrossingScanResult", "InversionResult",
+        "TransitionLine", "crossing_scan", "identify_frequency", "transition_lines",
         "__version__",
     ])
     assert all(hasattr(parabolic_mr, name) for name in parabolic_mr.__all__)
