@@ -5,10 +5,11 @@ rejected, which catches unit typos early).  All floating-point output uses
 17 significant digits so files can be diffed at full double precision, and
 a given config always produces byte-identical files.
 
-Exit codes: 0 success; 2 config or validation error; 3 physics-domain error
-(dissociation, unidentifiable); 4 numerical non-convergence; 1 validation
-mismatch (oracle converged but disagreed beyond tolerance).  Errors print a
-single machine-greppable line ``ERROR <code>: <detail>`` to stderr.
+Exit codes: 0 success; 2 config or validation error, or an --out that
+cannot be written; 3 physics-domain error (dissociation, unidentifiable);
+4 numerical non-convergence; 1 validation mismatch (oracle converged but
+disagreed beyond tolerance).  Errors print a single machine-greppable line
+``ERROR <code>: <detail>`` to stderr.
 """
 
 from __future__ import annotations
@@ -42,8 +43,14 @@ EXIT_PHYSICS = 3
 EXIT_NUMERIC = 4
 
 #: Exit code of each error family; an error takes that of its nearest base
-#: class here (a ConfigError is a ValueError).
-_ERROR_EXITS = {PhysicsError: EXIT_PHYSICS, ConvergenceError: EXIT_NUMERIC, ValueError: EXIT_CONFIG}
+#: class here (a ConfigError is a ValueError).  An OSError is the output
+#: directory's: the config and measured-lines reads raise ConfigError.
+_ERROR_EXITS = {
+    PhysicsError: EXIT_PHYSICS,
+    ConvergenceError: EXIT_NUMERIC,
+    ValueError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
+}
 
 #: Largest oscillator number n a config may name (``n_max``, ``fixed_n``,
 #: ``levels``): the oracle's first solve of a sector's n + 1 lowest levels
@@ -266,8 +273,6 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".16e")

@@ -212,17 +212,17 @@ def _require_bound(mbar, mq) -> None:
     """Raise :class:`DissociationError` if a sector has mbar >= 1.
 
     This is the closed forms' one dissociation rule; the boundary mbar = 1
-    counts as unbound.  Over arrays, the error names the first unbound
-    element in C order, the one a scalar loop over the same values would
-    have stopped at.
+    counts as unbound.  Over arrays, the error names the worst element, the
+    one with the largest mbar (the first in C order on a tie), as
+    :func:`_require_all_bound` does over a list.
     """
     unbound = mbar >= 1.0
     if isinstance(unbound, ndarray):
         if not unbound.any():
             return
-        first = int(np.flatnonzero(unbound)[0])
-        mbar = float(mbar.flat[first])
-        mq = float(np.broadcast_to(mq, unbound.shape).flat[first])
+        worst = int(np.argmax(mbar))
+        mbar = float(mbar.flat[worst])
+        mq = float(np.broadcast_to(mq, unbound.shape).flat[worst])
     elif not unbound:
         return
     raise DissociationError(

@@ -69,7 +69,7 @@ TAIL_MARGIN = 9.0
 class Grid:
     """Uniform grid in the dimensionless coordinate u = x/length_scale.
 
-    ``length_scale`` is meters per grid unit.
+    ``length_scale`` is meters per grid unit, the system's oscillator length.
     """
 
     u_min: float
@@ -228,7 +228,9 @@ def build_sector_hamiltonian(
 ) -> SectorMatrix:
     """Sinc-DVR matrix of H_M/(hbar*omega) on ``grid``."""
     mq = _projection(system, m)
-    lam = oscillator_length(system.mass, system.omega)
+    lam = grid.length_scale
+    if lam != oscillator_length(system.mass, system.omega):
+        raise ValueError("grid length scale is not the system's oscillator length")
     u = grid.points()
     x = lam * u
     a = system.offset

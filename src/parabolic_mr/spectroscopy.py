@@ -184,7 +184,6 @@ def transition_lines(
         if m is None:
             raise ValueError("rule deltaN1_fixed_M requires the fixed projection m")
         mq = _projection(system, m)
-        _require_all_bound(system, field, (mq,))
         pairs = [((mq, j + 1), (mq, j)) for j in range(n + 1)]
     else:  # all_pairs_within
         top = n if n_max is None else _require_int(n_max, "n_max")
@@ -207,15 +206,6 @@ def transition_lines(
         lines = [l for l in lines if l.frequency_hz <= cutoff_hz]
     lines.sort(key=lambda l: (l.frequency_hz, l.m_from, l.n_from, l.m_to, l.n_to))
     return lines
-
-
-def _stability_interval(system: SpinSystem, field: FieldProfile, mq: float) -> tuple[float, float]:
-    """Open gbar interval on which sector M stays bound."""
-    slope = _mbar(system, replace(field, gbar=1.0), mq)  # mbar per unit gbar
-    if slope == 0.0:
-        return (-math.inf, math.inf)
-    bound = 1.0 / slope
-    return (bound, math.inf) if bound < 0.0 else (-math.inf, bound)
 
 
 def crossing_scan(
@@ -251,10 +241,13 @@ def crossing_scan(
     if not (g_lo < g_hi):
         raise ValueError("gbar_range must be an increasing pair")
 
-    lo_allowed, hi_allowed = -math.inf, math.inf
-    for mq, _ in level_list:
-        s_lo, s_hi = _stability_interval(system, field_base, mq)
-        lo_allowed, hi_allowed = max(lo_allowed, s_lo), min(hi_allowed, s_hi)
+    ms = np.array([mq for mq, _ in level_list])
+    ns = np.array([nn for _, nn in level_list])
+    # sector M is bound while gbar * slope < 1, i.e. on zero's side of 1/slope
+    slopes = _mbar(system, replace(field_base, gbar=1.0), ms)  # mbar per unit gbar
+    bounds = 1.0 / slopes[slopes != 0.0]
+    lo_allowed = float(bounds[bounds < 0.0].max(initial=-math.inf))
+    hi_allowed = float(bounds[bounds >= 0.0].min(initial=math.inf))
     margin = 1e-12 * max(abs(lo_allowed), abs(hi_allowed), 1.0)
     if math.isfinite(lo_allowed):
         g_lo = max(g_lo, lo_allowed + margin)
@@ -266,8 +259,6 @@ def crossing_scan(
     gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
     g_scale = max(abs(g_lo), abs(g_hi))
     grid = replace(field_base, gbar=np.array(gs))
-    ms = np.array([mq for mq, _ in level_list])
-    ns = np.array([nn for _, nn in level_list])
     energies = energy_level(system, grid, ms[:, None], ns[:, None])  # (levels, grid)
     e_abs = np.abs(energies[:, 0])
     inside = np.zeros(steps, dtype=bool)  # 0 < idx < steps - 1
@@ -429,12 +420,11 @@ def _scan_residuals(
 
     All (omegas x 2S) line energies come from one array evaluation of
     :func:`_pair_delta_e`; each equals, bit for bit, the line
-    :func:`transition_lines` gives at that omega.  Every sector must be
-    bound at each omega: mbar falls as 1/omega^2, so checking the smallest
-    one covers the scan.
+    :func:`transition_lines` gives at that omega.  The caller keeps every
+    omega above the dissociation floor, so every sector is bound; the pair
+    kernel still refuses an unbound one through ``core._sector``.
     """
     ladder = system_template.levels()
-    _require_all_bound(replace(system_template, omega=min(omegas)), field, ladder)
     scan = replace(system_template, omega=np.array(omegas)[:, None])
     upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
     delta_e = _pair_delta_e(scan, field, (upper, n), (lower, n))
@@ -451,7 +441,6 @@ def identify_frequency(
     bracket: tuple[float, float],
     *,
     scan_points: int = 512,
-    fit_tol_hz: float | None = None,
 ) -> InversionResult:
     """Recover the trap frequency from measured spin-sublevel line frequencies.
 
@@ -489,7 +478,7 @@ def identify_frequency(
         )
 
     # clip the bracket to frequencies at which every sector stays bound
-    if field.gbar != 0.0 and system_template.spin > 0.0:
+    if field.gbar != 0.0:
         omega_floor = math.sqrt(
             2.0 * abs(system_template.gamma * field.gbar) * HBAR * system_template.spin
             / system_template.mass
@@ -532,8 +521,4 @@ def identify_frequency(
         value = residual(candidate)
         if rms is None or value < rms:
             estimate, rms = candidate, value
-    if fit_tol_hz is not None and rms > fit_tol_hz:
-        return InversionResult(
-            estimate, rms, (lo, hi), False, "residual above fit tolerance"
-        )
     return InversionResult(estimate, rms, (lo, hi), True, None)

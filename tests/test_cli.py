@@ -441,6 +441,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ERROR 3: ")
 
+    @pytest.mark.parametrize("command, out", [("spectrum", "afile"), ("validate", "afile/sub")])
+    def test_unusable_out_directory(self, tmp_path, capsys, command, out):
+        # a file where the output directory, or one of its parents, should be
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        path = write_config(tmp_path, n_max=1)
+        assert run([command, "--config", path, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ERROR 2: ")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path):

@@ -436,8 +436,8 @@ class TestDissociationRule:
 
     mass = 2*hbar and omega = gamma = 1 make mbar == gbar * M exactly; spin 2
     at gbar = 1 leaves M = 1 on the boundary (mbar = 1) and M = 2 beyond it,
-    so an error over a ladder or a level list can name the first unbound M
-    (1.0) or the worst one (2.0).  The worst is the one named.
+    so an error over a ladder, a level list or an array can name the first
+    unbound M (1.0) or the worst one (2.0).  The worst is the one named.
     """
 
     SYSTEM = SpinSystem(mass=2.0 * HBAR, gamma=1.0, spin=2.0, omega=1.0, offset=0.0)
@@ -447,6 +447,7 @@ class TestDissociationRule:
         "call, named",
         [
             (lambda s, f: energy_level(s, f, 1.0, 0), 1.0),
+            (lambda s, f: energy_level(s, f, np.array([-2.0, 1.0, 2.0, 0.0]), 0), 2.0),
             (lambda s, f: effective_frequency(s, f, 2.0), 2.0),
             (lambda s, f: eigenfunction_center(s, f, 1.0), 1.0),
             (lambda s, f: energy_decomposition(s, f, 2.0, 0), 2.0),
@@ -455,7 +456,7 @@ class TestDissociationRule:
             (lambda s, f: transition_lines(s, f, 0, rule="all_pairs_within", n_max=1), 2.0),
         ],
         ids=[
-            "energy_level", "effective_frequency", "eigenfunction_center",
+            "energy_level", "energy_level-array", "effective_frequency", "eigenfunction_center",
             "energy_decomposition", "lines-deltaM1_fixed_n",
             "lines-deltaN1_fixed_M", "lines-all_pairs_within",
         ],

@@ -129,6 +129,17 @@ class TestBuildSectorHamiltonian:
         assert mat.m_quantum == 1.0
         assert mat.grid is grid
 
+    def test_grid_of_another_length_scale_refused(self):
+        # expectation_position converts with the grid's length scale, so a
+        # matrix built in the system's oscillator lengths on a grid claiming
+        # 1 m per unit would put <x> at 1.31 m instead of at the 3e-7 m offset
+        system = oscillator_system(offset=3e-7)
+        grid = auto_grid(system, ZERO_FIELD, 0.0, 1, 65)
+        _, vectors = lowest_eigenpairs(build_sector_hamiltonian(system, ZERO_FIELD, 0.0, grid), 1)
+        assert expectation_position(vectors[:, 0], grid) == pytest.approx(3e-7, rel=1e-9)
+        with pytest.raises(ValueError, match="length scale"):
+            build_sector_hamiltonian(system, ZERO_FIELD, 0.0, replace(grid, length_scale=1.0))
+
 
 class TestLowestEigenpairs:
     def test_tridiagonal_analytic(self):

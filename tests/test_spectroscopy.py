@@ -210,6 +210,30 @@ class TestCrossingScan:
         )
         assert all(c.gbar < crit for c in result.crossings)
 
+    def test_two_sided_clip_is_the_per_level_bound(self):
+        # sector M is bound while gbar * slope < 1, slope = mbar per unit gbar;
+        # the electron's levels bound gbar on both sides, and the scan keeps a
+        # relative margin of 1e-12 inside the nearest bound on each side
+        scenario = figure1_scenario()
+        system, levels = scenario.system, scenario.all_levels()
+        crit = gbar_critical(system)
+        bounds = [
+            1.0 / (2.0 * system.gamma * HBAR * m / (system.omega**2 * system.mass))
+            for m, _ in levels
+            if m != 0.0
+        ]
+        lo = max(b for b in bounds if b < 0.0)
+        hi = min(b for b in bounds if b >= 0.0)
+        margin = 1e-12 * max(abs(lo), abs(hi), 1.0)
+        assert -10.0 * crit < lo + margin and hi - margin < 10.0 * crit
+
+        def scan(gbar_range):
+            return crossing_scan(system, scenario.field, gbar_range, levels, steps=64)
+
+        clipped = scan((-10.0 * crit, 10.0 * crit))
+        assert clipped.crossings
+        assert repr(clipped) == repr(scan((lo + margin, hi - margin)))
+
     def test_figure_configuration_has_refined_crossings(self):
         scenario = figure1_scenario()
         levels = scenario.all_levels()
@@ -343,12 +367,3 @@ class TestIdentifyFrequency:
         for points in (0, 1, 2):  # the coarse scan needs an interior point
             with pytest.raises(ValueError, match="scan_points"):
                 identify_frequency([1.0], system, field, 0, (1e4, 1e6), scan_points=points)
-
-    def test_fit_tolerance_gate(self):
-        system, field = build_scenario(1e-26, 2e5, 6e10, 1.0, 0.3, 0.5, 0.7, 0.0)
-        lines = [l.frequency_hz + 1e3 for l in transition_lines(system, field, 0)]
-        result = identify_frequency(
-            lines, system, field, 0, (system.omega / 2, system.omega * 2), fit_tol_hz=1e-3
-        )
-        assert not result.identifiable
-        assert "fit tolerance" in result.reason
