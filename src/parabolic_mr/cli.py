@@ -358,9 +358,13 @@ def _cmd_lines(scenario: Scenario, args) -> int:
     return EXIT_OK
 
 
-def _write_crossings(scenario: Scenario, out_dir: str, stem: str, fmt: str):
-    """Scan the scenario's levels over [gbar_min, gbar_max] and write the
-    crossings; returns the path written and the scan result."""
+_CROSSING_COLUMNS = ["gbar", "M_a", "n_a", "M_b", "n_b", "energy_J"]
+
+
+def _scan_crossings(scenario: Scenario):
+    """Scan the scenario's levels over [gbar_min, gbar_max]; returns the
+    crossing rows and the scan result.  An unconverged crossing raises
+    :class:`ConvergenceError`, so no row of it is ever written."""
     result = crossing_scan(
         scenario.system,
         scenario.field,
@@ -368,15 +372,22 @@ def _write_crossings(scenario: Scenario, out_dir: str, stem: str, fmt: str):
         scenario.all_levels(),
         steps=scenario.scan_steps,
     )
+    unconverged = [c for c in result.crossings if not c.converged]
+    if unconverged:
+        c = unconverged[0]
+        raise ConvergenceError(
+            f"{len(unconverged)} of {len(result.crossings)} crossings did not converge, the "
+            f"first between levels {c.level_a} and {c.level_b} near gbar={c.gbar!r}"
+        )
     rows = [(c.gbar, *c.level_a, *c.level_b, c.energy) for c in result.crossings]
-    columns = ["gbar", "M_a", "n_a", "M_b", "n_b", "energy_J"]
-    return _emit(rows, columns, out_dir, stem, fmt), result
+    return rows, result
 
 
 def _cmd_crossings(scenario: Scenario, args) -> int:
     if scenario.gbar_min is None or scenario.gbar_max is None:
         raise ConfigError("crossings requires gbar_min and gbar_max")
-    path, result = _write_crossings(scenario, args.out, "crossings", args.format)
+    rows, result = _scan_crossings(scenario)
+    path = _emit(rows, _CROSSING_COLUMNS, args.out, "crossings", args.format)
     note = ""
     if result.degenerate_pairs:
         note = f"; {len(result.degenerate_pairs)} pairs degenerate, no isolated crossings"
@@ -468,6 +479,9 @@ def _cmd_figure1(scenario: Scenario | None, args) -> int:
     g_lo, g_hi = scenario.gbar_min, scenario.gbar_max
     gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
 
+    # the scan refuses an oversized or dissociated range and an unconverged
+    # crossing, so it runs before the level table and before any file is written
+    crossing_rows, result = _scan_crossings(scenario)
     ordered = sorted(scenario.all_levels())
     columns = ["gbar"] + [f"E_J_m{m:+g}_n{n}" for m, n in ordered]
     table = energy_level(
@@ -477,8 +491,7 @@ def _cmd_figure1(scenario: Scenario | None, args) -> int:
         np.array([n for _, n in ordered], dtype=int),
     )
     rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
-    # the scan can refuse the range, so it runs before any file is written
-    crossings_path, result = _write_crossings(scenario, args.out, "figure1_crossings", "csv")
+    crossings_path = _emit(crossing_rows, _CROSSING_COLUMNS, args.out, "figure1_crossings", "csv")
     levels_path = _emit(rows, columns, args.out, "figure1_levels", "csv")
     print(f"wrote {levels_path} and {crossings_path} ({len(result.crossings)} crossings)")
     return EXIT_OK

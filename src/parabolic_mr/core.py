@@ -112,7 +112,15 @@ class SpinSystem:
                 raise ValueError(
                     "invalid system: |offset| must be smaller than sample_half_length"
                 )
-        object.__setattr__(self, "_omega_squared", _square(self.omega))
+        try:
+            omega_squared = _square(self.omega)
+        except OverflowError:
+            omega_squared = math.inf
+        if not _positive_finite(self.mass * omega_squared):
+            raise ValueError(
+                "invalid system: omega**2 and mass*omega**2 must be positive finite doubles"
+            )
+        object.__setattr__(self, "_omega_squared", omega_squared)
 
     def levels(self) -> tuple[float, ...]:
         """All spin projections -S, -S+1, ..., S (exact half-integers)."""

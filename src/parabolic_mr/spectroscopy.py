@@ -52,6 +52,10 @@ TANGENCY_FRACTION = 1e-6
 #: about 2 s and 150 MB, and the largest config would ask for about 5e11.
 MAX_LINES = 2**18
 
+#: Most pair-grid points a ``crossing_scan`` may evaluate, pairs x (steps + 1):
+#: 2**24 take about 1 s and 130 MB, and the largest config would ask for 4e16.
+MAX_SCAN_EVALUATIONS = 2**24
+
 #: Bisection steps per bracketed crossing; a bracket still open after them is
 #: reported at its midpoint with ``converged=False``.
 MAX_BISECTION_STEPS = 200
@@ -73,8 +77,8 @@ class TransitionLine:
 class CrossingPoint:
     """A gbar value where two labeled levels coincide.
 
-    ``converged`` is False when bisection hit ``MAX_BISECTION_STEPS`` before
-    meeting its stop rule; ``gbar`` is then the last bracket's midpoint.
+    ``converged`` is False when bisection froze or hit ``MAX_BISECTION_STEPS``
+    before meeting its stop rule; ``gbar`` is then the last bracket's midpoint.
     """
 
     gbar: float
@@ -175,7 +179,6 @@ def transition_lines(
     if rule not in SELECTION_RULES:
         raise ValueError(f"unknown selection rule {rule!r} (expected one of {SELECTION_RULES})")
 
-    pairs: list[tuple[tuple[float, int], tuple[float, int]]] = []
     if rule == "deltaM1_fixed_n":
         ladder = system.levels()
         _require_all_bound(system, field, ladder)
@@ -226,17 +229,22 @@ def crossing_scan(
 
     The levels are checked once per scan, then the grid is evaluated as
     arrays, one (pairs x grid) block per first level of a pair, so memory
-    stays O(levels x steps); all brackets are bisected together, each with
-    the stop rule above and bit-identical to the scalar calls.  A bracket
-    still open after ``MAX_BISECTION_STEPS`` comes back with ``converged=False``.
+    stays O(levels x steps); more than ``MAX_SCAN_EVALUATIONS`` pair-grid
+    points raise ``ValueError`` before any is evaluated.  Every crossing,
+    grid zeros too, closes in :func:`_bisect_crossings`, bit-identical to the
+    scalar calls; a frozen or step-capped one has ``converged=False``.
     """
-    level_list = [( _projection(system, m), _require_int(nn)) for m, nn in levels]
-    if not level_list:
+    levels = list(levels)
+    if not levels:
         raise ValueError("empty level list")
-    if len(set(level_list)) != len(level_list):
-        raise ValueError("identical levels in pair list: each (m_quantum, n) must be unique")
     if steps < 16:
         raise ValueError("steps must be at least 16")
+    size = len(levels) * (len(levels) - 1) // 2 * (steps + 1)
+    if size > MAX_SCAN_EVALUATIONS:
+        raise ValueError(f"scan of {size} pair-grid points, more than {MAX_SCAN_EVALUATIONS}")
+    level_list = [(_projection(system, m), _require_int(nn)) for m, nn in levels]
+    if len(set(level_list)) != len(level_list):
+        raise ValueError("identical levels in pair list: each (m_quantum, n) must be unique")
     g_lo, g_hi = float(gbar_range[0]), float(gbar_range[1])
     if not (g_lo < g_hi):
         raise ValueError("gbar_range must be an increasing pair")
@@ -248,26 +256,21 @@ def crossing_scan(
     bounds = 1.0 / slopes[slopes != 0.0]
     lo_allowed = float(bounds[bounds < 0.0].max(initial=-math.inf))
     hi_allowed = float(bounds[bounds >= 0.0].min(initial=math.inf))
-    margin = 1e-12 * max(abs(lo_allowed), abs(hi_allowed), 1.0)
-    if math.isfinite(lo_allowed):
-        g_lo = max(g_lo, lo_allowed + margin)
-    if math.isfinite(hi_allowed):
-        g_hi = min(g_hi, hi_allowed - margin)
+    finite = [abs(bound) for bound in (lo_allowed, hi_allowed) if math.isfinite(bound)]
+    margin = 1e-12 * max(finite + [1.0])  # an unbounded side sets no scale
+    g_lo = max(g_lo, lo_allowed + margin)
+    g_hi = min(g_hi, hi_allowed - margin)
     if not (g_lo < g_hi):
         raise DissociationError("scan range entirely dissociated for the requested levels")
 
     gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
     g_scale = max(abs(g_lo), abs(g_hi))
     grid = replace(field_base, gbar=np.array(gs))
-    energies = energy_level(system, grid, ms[:, None], ns[:, None])  # (levels, grid)
-    e_abs = np.abs(energies[:, 0])
-    inside = np.zeros(steps, dtype=bool)  # 0 < idx < steps - 1
-    inside[1 : steps - 1] = True
+    e_abs = np.abs(energy_level(system, replace(field_base, gbar=gs[0]), ms, ns))
 
-    crossings: list[CrossingPoint] = []
     degenerate = []
     tangencies = []
-    brackets = []  # (first level, second level, a, b, d(a)) of each sign change
+    brackets = []  # (first level, second level, a, b, d(a)); a == b at a grid zero
     for i in range(len(level_list) - 1):
         js = np.arange(i + 1, len(level_list))
         pairs = [(level_list[i], level_list[j]) for j in js.tolist()]
@@ -284,29 +287,27 @@ def crossing_scan(
             live
             & ~flips
             & (np.minimum(abs_ds[:, :-1], abs_ds[:, 1:]) < TANGENCY_FRACTION * e_scale[:, None])
-            & inside
         )
         dips[:, 1:] &= (abs_ds[:, 1:-1] <= abs_ds[:, :-2]) & (abs_ds[:, 1:-1] <= abs_ds[:, 2:])
+        dips[:, [0, -1]] = False  # the end intervals lack a neighbour
         # a pair lands on zero at the first point or from a nonzero neighbour;
         # one that is zero everywhere is degenerate
         degenerate_rows = zero.all(axis=1)
         landed = zero & ~degenerate_rows[:, None]
         landed[:, 1:] &= ~zero_a
         degenerate.extend(pairs[row] for row in np.flatnonzero(degenerate_rows))
-        crossings.extend(
-            CrossingPoint(gs[idx], *pairs[row], float(energies[i, idx]), 0.0)
-            for row, idx in zip(*np.nonzero(landed))
-        )
         tangencies.extend((gs[idx], pairs[row]) for row, idx in zip(*np.nonzero(dips)))
+        brackets.extend(
+            (i, i + 1 + row, gs[idx], gs[idx], 0.0) for row, idx in zip(*np.nonzero(landed))
+        )
         brackets.extend(
             (i, i + 1 + row, gs[idx], gs[idx + 1], ds[row, idx])
             for row, idx in zip(*np.nonzero(flips))
         )
 
+    crossings = []
     if brackets:
-        crossings.extend(
-            _bisect_crossings(system, field_base, level_list, ms, ns, brackets, g_scale)
-        )
+        crossings = _bisect_crossings(system, field_base, level_list, ms, ns, brackets, g_scale)
     crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
     return CrossingScanResult(tuple(crossings), tuple(degenerate), tuple(tangencies))
 
@@ -320,59 +321,50 @@ def _bisect_crossings(
     brackets: list[tuple[int, int, float, float, float]],
     g_scale: float,
 ) -> list[CrossingPoint]:
-    """Bisect every bracketed sign change of a crossing scan at once.
+    """Bisect every bracketed crossing of a scan at once.
 
     ``brackets`` holds (first level, second level, a, b, E_first - E_second
     at a), the levels as indices into ``level_list`` and its M and n arrays
     ``ms`` and ``ns``, all checked by the scan.  Each step evaluates all open
-    brackets' midpoints as one array; a bracket closes, exactly as a scalar
-    bisection of it would, once its width is at most 1e-10 * max(|a|, |b|,
-    g_scale) and |E_a - E_b| is at most 1e-10 * max(|E_a|, |E_b|), or when
-    the difference at the midpoint is zero.  The energies are evaluated only
-    for brackets that pass the width test or hit zero.
+    midpoints as one array, exactly as scalar bisections would, and then the
+    energies of the tested brackets: those within width 1e-10 * max(|a|, |b|,
+    g_scale) or at a zero difference, and all on the step after
+    ``MAX_BISECTION_STEPS``.  A tested bracket closes at its midpoint when it
+    converged (|E_a - E_b| <= 1e-10 * max(|E_a|, |E_b|) within the width, or
+    a zero difference), when it froze (its midpoint is an end: no double lies
+    between them), or on that last step; only the first has ``converged=True``.
     """
     first, second, a, b, fa = (np.array(column) for column in zip(*brackets))
     m_a, n_a, m_b, n_b = ms[first], ns[first], ms[second], ns[second]
     found = []
-    for _ in range(MAX_BISECTION_STEPS):
-        if not len(a):
-            break
+    for step in range(MAX_BISECTION_STEPS + 1):
         mid, width = 0.5 * (a + b), b - a
+        frozen = (mid == a) | (mid == b)
         fm = _pair_delta_e(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
         width_ok = width <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
         right = (fm > 0.0) == (fa > 0.0)  # the sign change lies right of mid
         a, b, fa = np.where(right, mid, a), np.where(right, b, mid), np.where(right, fm, fa)
-        tested = np.flatnonzero(width_ok | (fm == 0.0))
+        last = step == MAX_BISECTION_STEPS
+        tested = np.flatnonzero(width_ok | (fm == 0.0) | last)
         if not len(tested):
             continue
         field = replace(field_base, gbar=mid[tested])
         e_a = energy_level(system, field, m_a[tested], n_a[tested])
         e_b = energy_level(system, field, m_b[tested], n_b[tested])
         energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
-        closing = (width_ok[tested] & energy_ok) | (fm[tested] == 0.0)
+        converged = (width_ok[tested] & energy_ok) | (fm[tested] == 0.0)
+        closing = converged | frozen[tested] | last
         closed = tested[closing]
-        found.extend(
-            CrossingPoint(
-                float(mid[k]), level_list[first[k]], level_list[second[k]], e, float(width[k])
-            )
-            for k, e in zip(closed.tolist(), e_a[closing].tolist())
+        for k, e, ok in zip(closed.tolist(), e_a[closing].tolist(), converged[closing].tolist()):
+            pair = level_list[first[k]], level_list[second[k]]
+            found.append(CrossingPoint(float(mid[k]), *pair, e, float(width[k]), ok))
+        keep = np.ones(len(a), dtype=bool)
+        keep[closed] = False
+        a, b, fa, first, second, m_a, n_a, m_b, n_b = (
+            column[keep] for column in (a, b, fa, first, second, m_a, n_a, m_b, n_b)
         )
-        if len(closed):
-            keep = np.ones(len(a), dtype=bool)
-            keep[closed] = False
-            a, b, fa, first, second, m_a, n_a, m_b, n_b = (
-                column[keep] for column in (a, b, fa, first, second, m_a, n_a, m_b, n_b)
-            )
-    if len(a):
-        mid = 0.5 * (a + b)
-        e_a = energy_level(system, replace(field_base, gbar=mid), m_a, n_a)
-        found.extend(
-            CrossingPoint(
-                float(mid[k]), level_list[first[k]], level_list[second[k]],
-                float(e_a[k]), float(b[k] - a[k]), converged=False,
-            )
-            for k in range(len(a))
-        )
+        if not len(a):
+            break
     return found
 
 

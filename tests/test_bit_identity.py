@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_stable_scenario
+from conftest import STEEP_CROSSINGS, crossing_scan_args, random_stable_scenario
 from parabolic_mr import (
     CrossingPoint,
     FieldProfile,
@@ -267,6 +267,16 @@ def test_crossing_scans_and_lines_match_scalar_calls(monkeypatch):
             )
     # every kind of grid finding and both ends of the stop rule were reached
     assert min(closed, landed, unconverged, degenerate_pairs, dips) > 5
+
+    # a bracket that freezes at one ulp stops there; the scalar bisection runs
+    # on to MAX_BISECTION_STEPS without moving and reports the same point
+    monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", 200)
+    system, field, (g_lo, g_hi), levels, steps = crossing_scan_args(STEEP_CROSSINGS)
+    got = crossing_scan(system, field, (g_lo, g_hi), levels, steps)
+    want, degenerate, _ = scalar_crossing_scan(system, field, g_lo, g_hi, levels, steps)
+    assert crossing_fields(got.crossings) == crossing_fields(want)
+    assert list(got.degenerate_pairs) == degenerate
+    assert [c.converged for c in want].count(False) == 1
 
 
 #: SHA-256 of the default ``figure1`` outputs.  The scans are pinned to the

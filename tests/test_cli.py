@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolic_mr import cli
+from conftest import STEEP_CROSSINGS, crossing_scan_args
+from parabolic_mr import cli, crossing_scan, energy_level, gbar_critical
 from parabolic_mr.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PHYSICS,
     MAX_LEVEL_N,
@@ -25,10 +28,10 @@ from parabolic_mr.cli import (
     run,
     write_csv,
 )
-from parabolic_mr.constants import TWO_PI
+from parabolic_mr.constants import ELECTRON_MASS, GAMMA_ELECTRON, TWO_PI
 from parabolic_mr.core import FieldProfile, SpinSystem
 from parabolic_mr.oracle import MIN_TOL
-from parabolic_mr.spectroscopy import MAX_LINES, transition_lines
+from parabolic_mr.spectroscopy import MAX_LINES, MAX_SCAN_EVALUATIONS, transition_lines
 
 BASE_CONFIG = {
     "mass": 1e-26,
@@ -338,6 +341,26 @@ class TestLinesAndInvertCommands:
         assert run(["invert", "--config", config, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@st.composite
+def steep_crossing_configs(draw):
+    """``crossings`` configs at the electron's mass and gamma with b0 != 0,
+    scanned to 0.99-0.999 of the dissociation bound: near it delta E can move
+    by more per ulp of gbar than the energy test allows."""
+    spin = draw(st.sampled_from((0.5, 1.0, 1.5, 2.0)))
+    omega = 10.0 ** draw(st.floats(4.0, 6.0))
+    top = draw(st.floats(0.99, 0.999)) * gbar_critical(
+        SpinSystem(ELECTRON_MASS, GAMMA_ELECTRON, spin, omega)
+    )
+    return {
+        "mass": ELECTRON_MASS, "gamma": GAMMA_ELECTRON, "spin": spin, "omega": omega,
+        "offset": draw(st.floats(-1e-4, 1e-4)),
+        "b0": draw(st.floats(1e-6, 1e-3)) * draw(st.sampled_from((-1.0, 1.0))),
+        "g": draw(st.floats(-0.05, 0.05)), "gbar": 0.0,
+        "n_max": draw(st.integers(0, 2)), "scan_steps": draw(st.integers(16, 128)),
+        "gbar_min": -top, "gbar_max": top,
+    }
+
+
 class TestCrossingsCommand:
     def test_requires_range(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -365,6 +388,59 @@ class TestCrossingsCommand:
         rows = (out / "crossings.csv").read_text().splitlines()
         assert rows[0] == "gbar,M_a,n_a,M_b,n_b,energy_J"
         assert len(rows) > 1
+
+    @pytest.mark.parametrize("command", ["crossings", "figure1"])
+    def test_unconverged_crossing_exits_4_and_writes_nothing(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, **STEEP_CROSSINGS)
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ERROR 4: 1 of 18 crossings did not")
+        assert "levels (-1.0, 1) and (0.0, 0) near gbar=76.989227880235" in err
+        assert not out.exists()
+
+    def test_one_sided_bound_scans(self, tmp_path, capsys):
+        # with gamma > 0, M = 0.5 and 1.5 unbind at positive gbar only
+        crit = gbar_critical(SpinSystem(mass=1e-26, gamma=5e10, spin=1.5, omega=2e5))
+        config = write_config(
+            tmp_path, spin=1.5, offset=0.0, b0=0.0, g=0.0, gbar=0.0,
+            levels=[[0.5, 0], [1.5, 1]], gbar_min=-crit, gbar_max=crit,
+        )
+        out = tmp_path / "out"
+        assert run(["crossings", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert len((out / "crossings.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["crossings", "figure1"])
+    def test_oversized_scan_refused(self, tmp_path, capsys, command):
+        # 21 projections x 41 oscillator numbers: 370230 pairs on 65 grid points
+        path = write_config(tmp_path, spin=10.0, n_max=40, gbar_min=0.0, gbar_max=1.0)
+        err = assert_config_error(tmp_path, capsys, command, path)
+        assert f"24064950 pair-grid points, more than {MAX_SCAN_EVALUATIONS}" in err
+
+    @given(config=steep_crossing_configs())
+    @example(config=STEEP_CROSSINGS)
+    def test_no_unconverged_crossing_is_written(self, config):
+        # every crossing meets the energy test or says it did not converge,
+        # and the CLI writes the scan only when every crossing converged
+        system, field, gbar_range, levels, steps = crossing_scan_args(config)
+        result = crossing_scan(system, field, gbar_range, levels, steps)
+        for c in result.crossings:
+            at = replace(field, gbar=c.gbar)
+            e_a, e_b = energy_level(system, at, *c.level_a), energy_level(system, at, *c.level_b)
+            assert not c.converged or abs(e_a - e_b) <= 1e-10 * max(abs(e_a), abs(e_b))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            out = os.path.join(directory, "out")
+            code, err = run_quietly(["crossings", "--config", path, "--out", out])
+            if all(c.converged for c in result.crossings):
+                assert (code, err) == (EXIT_OK, "")
+                with open(os.path.join(out, "crossings.csv"), encoding="utf-8") as fh:
+                    assert len(fh.readlines()) == len(result.crossings) + 1
+            else:
+                assert code == EXIT_NUMERIC and err.startswith("ERROR 4: ")
+                assert not os.path.exists(out)
 
 
 class TestValidateCommand:
@@ -553,6 +629,8 @@ OUT_OF_RANGE = {
     "tol": (repr(0.5 * MIN_TOL), "0", "-1.0"),
     "fixed_m": ("0.5", "7.0"),
     "sample_half_length": ("1e-9", "-1.0"),
+    # omega**2 overflows, and mass * omega**2 underflows to zero
+    "omega": ("1e200", "1e-170"),
 }
 
 MUTATIONS = st.one_of(

@@ -45,6 +45,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             simple_system(omega=-1.0)
 
+    @pytest.mark.parametrize("omega", [1e200, 1e-170, np.array([1e5, 1e200])])
+    def test_rejects_omega_whose_square_leaves_the_doubles(self, omega):
+        # 1e200 squares past the largest double; at the electron mass,
+        # mass * 1e-170**2 underflows to zero
+        with pytest.raises(ValueError, match=r"mass\*omega\*\*2 must be positive finite"):
+            simple_system(mass=9.1093837015e-31, omega=omega)
+
     def test_rejects_non_half_integer_spin(self):
         with pytest.raises(ValueError):
             simple_system(spin=0.7)

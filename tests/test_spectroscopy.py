@@ -6,9 +6,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import build_scenario, random_stable_scenario, stable_setups
+from conftest import (
+    STEEP_CROSSINGS,
+    build_scenario,
+    crossing_scan_args,
+    random_stable_scenario,
+    stable_setups,
+)
 from parabolic_mr import (
     HBAR,
+    CrossingPoint,
     DissociationError,
     FieldProfile,
     InversionError,
@@ -267,6 +274,62 @@ class TestCrossingScan:
         for c in result.crossings:
             assert c.converged is False
             assert c.bracket_width > 0.0
+
+    def test_steep_scan_stops_its_frozen_bracket_unconverged(self, monkeypatch):
+        kernel_calls = []
+        kernel = spectroscopy._pair_delta_e
+
+        def counting(*args):
+            kernel_calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(spectroscopy, "_pair_delta_e", counting)
+        result = crossing_scan(*crossing_scan_args(STEEP_CROSSINGS))
+        assert len(result.crossings) == 18
+        assert [c for c in result.crossings if not c.converged] == [
+            CrossingPoint(
+                gbar=76.989227880235, level_a=(-1.0, 1), level_b=(0.0, 0),
+                energy=2.9571825935358936e-30, bracket_width=1.4210854715202004e-14,
+                converged=False,
+            )
+        ]
+        # one grid block per first level of a pair (8), and 48 bisection steps:
+        # the bracket stops once it froze, not at MAX_BISECTION_STEPS
+        assert len(kernel_calls) == 8 + 48
+
+    def test_one_sided_bound_clips_only_that_side(self):
+        # with gamma > 0, M = 0.5 and 1.5 unbind at positive gbar only: the
+        # scan clips the upper end by the relative margin and keeps the lower
+        system = SpinSystem(mass=1e-26, gamma=5e10, spin=1.5, omega=2e5)
+        crit = gbar_critical(system)
+        levels = [(0.5, 0), (1.5, 1)]
+        result = crossing_scan(system, FieldProfile(0.0, 0.0, 0.0), (-crit, crit), levels)
+        (crossing,) = result.crossings
+        assert crossing.converged and -crit < crossing.gbar < crit
+        hi = 1.0 / (2.0 * system.gamma * HBAR * 1.5 / (system.omega**2 * system.mass))
+        assert repr(result) == repr(
+            crossing_scan(system, FieldProfile(0.0, 0.0, 0.0), (-crit, hi - 1e-12 * hi), levels)
+        )
+
+    def test_oversized_scan_refused_before_any_evaluation(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a refused scan evaluated the closed forms")
+
+        monkeypatch.setattr(spectroscopy, "_pair_delta_e", evaluated)
+        monkeypatch.setattr(spectroscopy, "energy_level", evaluated)
+        system = larmor_system(spin=10.0)
+        field = FieldProfile(0.0, 0.0, 0.0)
+        # 21 projections x 41 oscillator numbers: 370230 pairs on 65 grid points
+        levels = [(m, n) for m in system.levels() for n in range(41)]
+        cap = spectroscopy.MAX_SCAN_EVALUATIONS
+        with pytest.raises(ValueError, match=f"scan of 24064950 pair-grid points, more than {cap}"):
+            crossing_scan(system, field, (0.0, 1.0), levels)
+        # the cap itself passes: three levels on 17 points make 51 evaluations
+        monkeypatch.undo()
+        monkeypatch.setattr(spectroscopy, "MAX_SCAN_EVALUATIONS", 51)
+        crossing_scan(system, field, (0.0, 1.0), levels[:3], steps=16)
+        with pytest.raises(ValueError, match="scan of 54 pair-grid points, more than 51"):
+            crossing_scan(system, field, (0.0, 1.0), levels[:3], steps=17)
 
     def test_each_crossing_is_one_sign_flip(self):
         scenario = figure1_scenario()

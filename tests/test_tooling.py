@@ -112,11 +112,30 @@ def test_one_sector_rule_and_an_oracle_apart_from_it():
     assert sorted(imported) == ["FieldProfile", "SpinSystem", "_projection", "energy_level"]
 
 
+def test_crossing_points_are_built_in_one_place():
+    # grid zeros, converged, frozen and step-capped brackets all close in the
+    # bisection loop, and nothing but the return follows that loop
+    trees = _module_trees()
+    builders = [
+        (module, getattr(top, "name", None))
+        for module, tree in trees.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CrossingPoint"
+    ]
+    assert builders == [("spectroscopy", "_bisect_crossings")]
+    (bisect,) = [
+        top for top in trees["spectroscopy"].body
+        if getattr(top, "name", None) == "_bisect_crossings"
+    ]
+    assert [type(node) for node in bisect.body[-2:]] == [ast.For, ast.Return]
+
+
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
-    # the scan checks each level's M once, the grid's energies check them
-    # once more as one array, and bisection checks none of its steps: only
-    # the energies of brackets that pass the width test go through
-    # energy_level and its check
+    # the scan checks each level's M once, the first grid point's energies
+    # check them once more as one array, and bisection checks none of its
+    # steps: only the energies of tested brackets go through energy_level
+    # and its check
     from parabolic_mr import core, spectroscopy
     from parabolic_mr.cli import figure1_scenario
 
@@ -144,14 +163,15 @@ def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
     assert len(result.crossings) == 39 and all(c.converged for c in result.crossings)
     assert count <= 3 * len(levels) + 2 * len(result.crossings)
     # no bracket closes within 10 or 20 steps: the count is the scan's and
-    # the grid's, plus the one evaluation of the open brackets' energies
+    # the first grid point's, plus the last step's evaluation of the open
+    # brackets' energies, one per level of each pair
     counts = []
     for cap in (10, 20):
         monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", cap)
         result, count = scan()
         assert not any(c.converged for c in result.crossings)
         counts.append(count)
-    assert counts == [len(levels) + 2] * 2
+    assert counts == [len(levels) + 3] * 2
 
 
 def test_readme_key_table_mirrors_config_schema():
