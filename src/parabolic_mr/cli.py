@@ -15,6 +15,7 @@ disagreed beyond tolerance).  Errors print a single machine-greppable line
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -279,21 +280,27 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, columns, rows) -> None:
-    """Write rows as RFC-4180 CSV: header, 17-significant-digit floats, LF,
-    rows sorted by their leading columns."""
-    ordered = sorted(rows, key=lambda row: tuple(row))
+    """Write rows as RFC-4180 CSV: header, 17-significant-digit floats, LF, rows
+    sorted by their leading columns; encoded whole first, so an error writes no file."""
+    lines = [",".join(columns)]
+    for row in sorted(rows, key=lambda row: tuple(row)):
+        if len(row) != len(columns):
+            raise ValueError("row length does not match the header")
+        lines.append(",".join(map(_fmt, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in ordered:
-            if len(row) != len(columns):
-                raise ValueError("row length does not match the header")
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path: str, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _require_finite(what: str, rows) -> None:
+    """Refuse a table holding an inf or nan: the scenario overflowed a double."""
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        raise ValueError(f"{what} would hold a value past double precision")
 
 
 def read_lines_csv(path: str) -> list[float]:
@@ -317,6 +324,7 @@ def read_lines_csv(path: str) -> list[float]:
 
 
 def _emit(records, columns, out_dir: str, stem: str, fmt: str) -> str:
+    _require_finite(stem, records)
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "csv":
         path = os.path.join(out_dir, f"{stem}.csv")
@@ -491,8 +499,9 @@ def _cmd_figure1(scenario: Scenario | None, args) -> int:
         np.array([n for _, n in ordered], dtype=int),
     )
     rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
-    crossings_path = _emit(crossing_rows, _CROSSING_COLUMNS, args.out, "figure1_crossings", "csv")
+    _require_finite("figure1_crossings", crossing_rows)  # both tables, before either file
     levels_path = _emit(rows, columns, args.out, "figure1_levels", "csv")
+    crossings_path = _emit(crossing_rows, _CROSSING_COLUMNS, args.out, "figure1_crossings", "csv")
     print(f"wrote {levels_path} and {crossings_path} ({len(result.crossings)} crossings)")
     return EXIT_OK
 
@@ -535,7 +544,8 @@ def run(argv) -> int:
         scenario = None
         if args.config is not None:
             scenario = load_config(args.config, args.omega_unit)
-        return _COMMANDS[args.command](scenario, args)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: one ERROR line, no warning
+            return _COMMANDS[args.command](scenario, args)
     except tuple(_ERROR_EXITS) as exc:
         code = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
         print(f"ERROR {code}: {exc}", file=sys.stderr)

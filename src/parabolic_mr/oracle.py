@@ -14,9 +14,12 @@ kinetic matrix is dense:
     H_ij = T_ij + delta_ij * V_M(lambda*u_i)/(hbar*omega)
     T_ij = 1/(2*du^2) * (pi^2/3 if i == j else 2*(-1)^(i-j)/(i-j)^2)
 
-T_ij depends on |i - j| alone, so T is a symmetric Toeplitz matrix: it is
-built from its first row, each matrix row being a shifted window of that row
-mirrored about its first entry.
+T_ij depends on |i - j| alone: each row of T is a window of the first row
+mirrored about its first entry.  T of ``MAX_DVR_POINTS`` points (a ``Grid``
+refuses more) is built once, at import, as a view of that mirrored row, and
+every grid's T is its leading block.  A solve evaluates the potential, makes
+one scaled copy of the block, adds the potential through a view of its
+diagonal and runs the eigensolve, which takes most of its time.
 
 This is the uniform-grid idea of the Fourier-grid Hamiltonian (Marston &
 Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  For the Gaussian-tailed
@@ -42,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import HBAR, oscillator_length
 from .core import FieldProfile, SpinSystem, _projection, energy_level
@@ -80,8 +84,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not (self.u_min < self.u_max):
             raise ValueError("grid too coarse: u_min must be below u_max")
-        if self.n_points < MIN_GRID_POINTS:
-            raise ValueError(f"grid too coarse: need at least {MIN_GRID_POINTS} points")
+        if not MIN_GRID_POINTS <= self.n_points <= MAX_DVR_POINTS:
+            raise ValueError(
+                f"grid too coarse or too fine: need {MIN_GRID_POINTS} to {MAX_DVR_POINTS} points"
+            )
 
     @property
     def du(self) -> float:
@@ -207,17 +213,27 @@ def auto_grid(
     u_center = (system.offset + shift) / lam
     stretch = (1.0 - mbar) ** -0.25  # effective length / base length
     half_width = (math.sqrt(2.0 * k + 1.0) + TAIL_MARGIN) * stretch
+    if not half_width > MAX_DVR_POINTS * math.ulp(u_center):  # finest grid: distinct doubles
+        raise ValueError(
+            f"grid of m_quantum={mq} cannot be resolved in double precision: centre {u_center:.3g}"
+        )
     return Grid(u_center - half_width, u_center + half_width, n_points, lam)
 
 
-def _kinetic_matrix(n_points: int, du: float) -> np.ndarray:
-    """Sinc-DVR matrix of -(1/2) d^2/du^2 on n_points uniform points."""
+def _mirrored_kinetic_row(n_points: int) -> np.ndarray:
+    """Unscaled row r_0 = pi^2/3, r_d = 2(-1)^d/d^2, mirrored: r_{n-1} .. r_0 .. r_{n-1}."""
     d = np.arange(1, n_points)
     row = np.concatenate(([math.pi**2 / 3.0], np.where(d % 2 == 0, 2.0, -2.0) / (d * d)))
-    # mirrored[n_points - 1 + k] = row[|k|]; matrix row i is the window k = -i .. n_points - 1 - i
-    mirrored = np.concatenate((row[:0:-1], row))
-    windows = np.lib.stride_tricks.sliding_window_view(mirrored, n_points)
-    return windows[::-1] / (2.0 * du * du)
+    return np.concatenate((row[:0:-1], row))
+
+
+#: Unscaled T of the largest grid; row i is the mirrored row's window from entry MAX - 1 - i.
+_KINETIC = sliding_window_view(_mirrored_kinetic_row(MAX_DVR_POINTS), MAX_DVR_POINTS)[::-1]
+
+
+def _kinetic_matrix(n_points: int, du: float) -> np.ndarray:
+    """Sinc-DVR matrix of -(1/2) d^2/du^2 on n_points uniform points (a block of T)."""
+    return _KINETIC[:n_points, :n_points] / (2.0 * du * du)
 
 
 def build_sector_hamiltonian(
@@ -243,7 +259,7 @@ def build_sector_hamiltonian(
     if not np.all(np.isfinite(v)):
         raise ValueError("potential not finite on the grid domain")
     hamiltonian = _kinetic_matrix(grid.n_points, grid.du)
-    hamiltonian[np.diag_indices_from(hamiltonian)] += v
+    hamiltonian.reshape(-1)[:: grid.n_points + 1] += v  # the diagonal, as a view
     return SectorMatrix(hamiltonian, mq, grid)
 
 
@@ -335,22 +351,19 @@ def validate_levels(
     """
     wanted: dict[float, list[int]] = {}
     for m, n in levels:
-        mq = _projection(system, m)
-        wanted.setdefault(mq, []).append(int(n))
+        wanted.setdefault(_projection(system, m), []).append(int(n))
     if not wanted:
         raise ValueError("no levels requested")
 
     records: list[LevelRecord] = []
     sectors: list[SectorConvergence] = []
     for mq in sorted(wanted):
-        k = max(wanted[mq]) + 1
-        numeric, report = converged_spectrum(system, field, mq, k, tol)
+        ns = sorted(set(wanted[mq]))
+        numeric, report = converged_spectrum(system, field, mq, ns[-1] + 1, tol)
         sectors.append(report)
-        for n in sorted(set(wanted[mq])):
-            analytic = energy_level(system, field, mq, n)
-            num = float(numeric[n])
-            denom = abs(analytic)
-            rel = abs(num - analytic) / denom if denom > 0.0 else math.inf
+        analytics = energy_level(system, field, mq, np.array(ns)).tolist()
+        for n, analytic, num in zip(ns, analytics, numeric[ns].tolist()):
+            rel = abs(num - analytic) / abs(analytic) if abs(analytic) > 0.0 else math.inf
             records.append(LevelRecord(mq, n, analytic, num, rel))
     max_rel = max(r.rel_error for r in records)
     return ValidationReport(

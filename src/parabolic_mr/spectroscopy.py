@@ -37,6 +37,7 @@ from .core import (
     _require_all_bound,
     _require_int,
     _sector,
+    _square,
     energy_level,
 )
 from .errors import DissociationError, InversionError
@@ -275,6 +276,8 @@ def crossing_scan(
         js = np.arange(i + 1, len(level_list))
         pairs = [(level_list[i], level_list[j]) for j in js.tolist()]
         ds = _pair_delta_e(system, grid, level_list[i], (ms[js, None], ns[js, None]))
+        if not np.isfinite(ds).all():
+            raise ValueError("level energy differences past double precision on the gbar range")
         zero = ds == 0.0
         d_a, d_b, zero_a, zero_b = ds[:, :-1], ds[:, 1:], zero[:, :-1], zero[:, 1:]
         live = ~zero_a & ~zero_b
@@ -388,16 +391,26 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _line_misfit(model: list[float], measured: list[float]) -> float:
+def _line_misfit(model, measured: list[float]):
     """RMS misfit (Hz) between sorted model and measured line frequencies.
 
     Lines pair up in sorted order when both lists have the same length;
     otherwise each measured line is matched to its nearest model line.
+    A (scan points x lines) ``model`` array gives its rows' misfits, equal bit for bit to
+    scalar calls: both square by ``core._square`` (``OverflowError`` past double range).
     """
+    if isinstance(model, np.ndarray):
+        y = np.array(measured)
+        paired = model.shape[1] == len(measured)
+        sq = _square(model - y) if paired else _square(model[:, :, None] - y).min(axis=1)
+        return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
     if len(model) == len(measured):
-        sq = sum((f - y) ** 2 for f, y in zip(model, measured))
+        squares = [_square(f - y) for f, y in zip(model, measured)]
     else:
-        sq = sum(min((f - y) ** 2 for f in model) for y in measured)
+        squares = [min(_square(f - y) for f in model) for y in measured]
+    sq = 0.0
+    for square in squares:  # in order, as cumsum adds (Python 3.12's sum compensates)
+        sq += square
     return math.sqrt(sq / len(measured))
 
 
@@ -421,8 +434,7 @@ def _scan_residuals(
     upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
     delta_e = _pair_delta_e(scan, field, (upper, n), (lower, n))
     delta_e = np.where(delta_e >= 0.0, delta_e, -delta_e)  # the magnitude, as _make_line takes it
-    lines = np.sort(delta_e / (TWO_PI * HBAR), axis=1)
-    return [_line_misfit(model, measured) for model in lines.tolist()]
+    return _line_misfit(np.sort(delta_e / (TWO_PI * HBAR), axis=1), measured).tolist()
 
 
 def identify_frequency(
@@ -450,7 +462,7 @@ def identify_frequency(
     result comes back with ``identifiable=False`` ("homogeneous field"); the
     same happens when the residual is flat over the bracket (relative
     variation below 1e-12).  A residual minimum on the bracket edge raises
-    :class:`InversionError`.
+    :class:`InversionError`, and a misfit past double precision ``ValueError``.
     """
     measured = sorted(float(v) for v in lines_hz)
     if not measured:
@@ -487,7 +499,12 @@ def identify_frequency(
         return _line_misfit(model, measured)
 
     xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    fs = _scan_residuals(measured, system_template, field, n, xs)
+    try:
+        fs = _scan_residuals(measured, system_template, field, n, xs)
+    except OverflowError:
+        fs = [math.inf]
+    if not all(map(math.isfinite, fs)):
+        raise ValueError("line misfit past double precision: model lines far off the measured")
     f_min, f_max = min(fs), max(fs)
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(

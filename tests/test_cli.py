@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -253,6 +254,12 @@ class TestWriteCsv:
         assert lines[1].startswith("-5.0000000000000000e-01,0,")
         assert len(lines) == 3
 
+    def test_encoding_error_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="row length"):
+            write_csv(str(path), ["a", "b"], [(1.0, 2.0), (3.0,)])
+        assert not path.exists()
+
     def test_seventeen_significant_digits(self, tmp_path):
         path = tmp_path / "prec.csv"
         value = 1.0545718171234567e-34
@@ -288,6 +295,36 @@ class TestSpectrumCommand:
         payload = json.loads((out / "levels.json").read_text())
         assert payload[0]["M"] == 0.0
         assert payload[0]["energy_hbar_omega"] == pytest.approx(0.5, rel=1e-12)
+
+
+class TestOverflowingScenarios:
+    # BASE_CONFIG has no sample_half_length, so a huge offset parses
+    @pytest.mark.parametrize("command", ["spectrum", "crossings", "invert", "validate", "figure1"])
+    def test_huge_offset_writes_no_file(self, tmp_path, capsys, command):
+        path = write_config(
+            tmp_path, offset=1e200, gbar_min=0.0, gbar_max=100.0, measured_lines=[1e6, 2e6],
+            bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
+        )
+        assert_config_error(tmp_path, capsys, command, path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_level_table_refused_in_every_format(self, tmp_path, capsys, fmt):
+        path = write_config(tmp_path, g=1e200)
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", path, "--out", str(out), "--format", fmt]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "ERROR 2: levels would hold a value past double precision\n"
+        assert not out.exists()
+
+    def test_overflowing_misfit_exits_2(self, tmp_path, capsys):
+        # the model lines sit near 1e209 Hz: Python's pow refuses their square
+        path = write_config(
+            tmp_path, b0=1e200, fixed_n=1, measured_lines=[1e6, 2e6],
+            bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
+        )
+        assert "line misfit past double precision" in assert_config_error(
+            tmp_path, capsys, "invert", path
+        )
 
 
 class TestLinesAndInvertCommands:
@@ -462,6 +499,13 @@ class TestValidateCommand:
         assert payload["passed"] is True
         assert len(payload["sectors"]) == 4  # every quickstart sector
 
+    @pytest.mark.parametrize("key", ["g", "offset"])
+    def test_unresolvable_sector_grid_named(self, tmp_path, capsys, key):
+        # the sector centre lies about 1e200 oscillator lengths out
+        path = write_config(tmp_path, **{key: 1e200})
+        err = assert_config_error(tmp_path, capsys, "validate", path)
+        assert "m_quantum=-1.0 cannot be resolved in double precision" in err
+
     def test_tol_below_floor_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, tol=0.5 * MIN_TOL)
         code = run(["validate", "--config", config, "--out", str(tmp_path / "out")])
@@ -631,7 +675,13 @@ OUT_OF_RANGE = {
     "sample_half_length": ("1e-9", "-1.0"),
     # omega**2 overflows, and mass * omega**2 underflows to zero
     "omega": ("1e200", "1e-170"),
+    # energies, lines or the inversion's misfit overflow
+    "b0": ("1e200",),
+    "g": ("1e200",),
 }
+
+#: A JSON token of a non-finite number, as json or the CSV writer spell it.
+NON_FINITE_TOKEN = re.compile(r"\b(inf|nan|Infinity|NaN)\b")
 
 MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(sorted(CONTRACT_BASE) + ["measured_lines_file"])),
@@ -681,7 +731,7 @@ class TestCliContract:
             code, err = run_quietly([command, "--config", config, "--out", str(tmp_path / command)])
             assert (code, err) == (EXIT_OK, "")
 
-    # the space of changes is finite (about 470), and 500 examples let the
+    # the space of changes is finite (about 476), and 500 examples let the
     # search run through all of it in a few seconds
     @settings(max_examples=500)
     @given(mutation=MUTATIONS)
@@ -694,6 +744,9 @@ class TestCliContract:
                 assert code in (0, 2, 3, 4) or (command == "validate" and code == 1)
                 if code == 0:
                     assert err == ""
+                    for name in os.listdir(out):
+                        with open(os.path.join(out, name), encoding="utf-8") as fh:
+                            assert not NON_FINITE_TOKEN.search(fh.read()), (command, name)
                     continue
                 assert err.count("\n") == 1 and err.startswith(f"ERROR {code}: ")
                 if code != 1:  # a validation mismatch still writes its report

@@ -61,6 +61,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid too coarse"):
             Grid(5.0, -5.0, 128, 1.0)
 
+    def test_rejects_more_points_than_the_cap(self):
+        Grid(-5.0, 5.0, oracle.MAX_DVR_POINTS, 1.0)
+        with pytest.raises(ValueError, match="too fine"):
+            Grid(-5.0, 5.0, oracle.MAX_DVR_POINTS + 1, 1.0)
+
+    def test_centre_beyond_double_precision_refused(self):
+        # the sector centre lies about 1e198 oscillator lengths out, where
+        # u_center +- the half-width round to the same double
+        system = oscillator_system(offset=1e-6)
+        with pytest.raises(ValueError, match=r"m_quantum=1.0 cannot be resolved in double precision"):
+            auto_grid(system, FieldProfile(0.0, 1e200, 0.0), 1.0, 5, 64)
+
     def test_spacing_and_points(self):
         grid = Grid(-8.0, 8.0, 65, 1.0)
         assert grid.du == pytest.approx(0.25)
@@ -101,19 +113,45 @@ class TestBuildSectorHamiltonian:
         assert np.array_equal(kinetic[0, 1:], kinetic[1:, 0])
         assert np.array_equal(kinetic[7, 8:20], kinetic[0, 1:13])  # Toeplitz
 
-    @pytest.mark.parametrize("n_points", [64, 65, 97, 144, 217])
+    @pytest.mark.parametrize(
+        "n_points", [64, 65, 97, 144, 217, 324, 486, 729, oracle.MAX_DVR_POINTS]
+    )
     def test_kinetic_matrix_equals_elementwise_definition(self, n_points):
         du = 18.0 / (n_points - 1)
         want = np.empty((n_points, n_points))
-        for i in range(n_points):
-            for j in range(n_points):
-                d = abs(i - j)
+        if n_points <= 217:
+            for i in range(n_points):
+                for j in range(n_points):
+                    d = abs(i - j)
+                    t = math.pi**2 / 3.0 if d == 0 else (2.0 if d % 2 == 0 else -2.0) / (d * d)
+                    want[i, j] = t / (2.0 * du * du)
+        else:  # the same scalar entry per distance, indexed by |i - j|
+            per_distance = []
+            for d in range(n_points):
                 t = math.pi**2 / 3.0 if d == 0 else (2.0 if d % 2 == 0 else -2.0) / (d * d)
-                want[i, j] = t / (2.0 * du * du)
+                per_distance.append(t / (2.0 * du * du))
+            index = np.arange(n_points)
+            want = np.array(per_distance)[np.abs(index[:, None] - index[None, :])]
         got = oracle._kinetic_matrix(n_points, du)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_hamiltonian_is_kinetic_plus_elementwise_potential(self):
+        system = oscillator_system(offset=3e-7)
+        field = FieldProfile(0.3, 1.7, 90.0)
+        grid = auto_grid(system, field, 1.0, 5, 97)
+        got = build_sector_hamiltonian(system, field, 1.0, grid).hamiltonian
+        lam, u = grid.length_scale, grid.points()
+        want = oracle._kinetic_matrix(grid.n_points, grid.du)
+        for i in range(grid.n_points):
+            x = lam * u[i]
+            trap = 0.5 * (u[i] - system.offset / lam) ** 2
+            coupling = (system.gamma * 1.0 / system.omega) * (
+                field.b0 + field.g * x + field.gbar * x * x
+            )
+            want[i, i] += trap - coupling
+        assert got.tobytes() == want.tobytes()
 
     def test_m_zero_matrix_field_independent(self):
         system = oscillator_system()
@@ -347,6 +385,24 @@ class TestValidateLevels:
                 "m_quantum", "n_points", "u_min", "u_max", "length_scale_m", "refinements"
             }
             assert sector["refinements"] >= 2  # convergence needs two agreeing solves
+
+    def test_solves_reuse_the_constant_kinetic_row(self, monkeypatch):
+        system, field = build_scenario(1e-26, 1.5e5, 7e10, 1.0, 0.3, 0.7, 0.5, 0.4)
+        levels = [(m, n) for m in system.levels() for n in range(3)]
+        want = validate_levels(system, field, levels)
+
+        def refuse(n_points):
+            raise AssertionError("a solve rebuilt the kinetic row")
+
+        monkeypatch.setattr(oracle, "_mirrored_kinetic_row", refuse)
+        assert validate_levels(system, field, levels) == want
+
+    def test_records_hold_python_floats(self):
+        # numpy-scalar parameters too: the closed forms come back as one array per sector
+        system = SpinSystem(mass=2e-26, gamma=np.float64(8e10), spin=1.5, omega=1.1e5, offset=2e-6)
+        report = validate_levels(system, FieldProfile(0.0, 0.002, 40.0), [(1.5, 0), (1.5, 2)])
+        for record in report.records:
+            assert type(record.analytic_j) is float and type(record.numeric_j) is float
 
     def test_empty_levels_rejected(self):
         system = oscillator_system()
