@@ -14,9 +14,10 @@ physical statement that a uniform field cannot reveal the trap frequency.
 Scans run as numpy array evaluations of the closed forms: a crossing scan
 evaluates each level pair over the whole gbar grid in one call and bisects
 all bracketed sign changes together, and the inversion's coarse omega scan
-evaluates every scan point's lines at once.  Arguments are checked once per
-scan or line list, bisection evaluates energies only for closing brackets,
-and each array element is bit-identical to the scalar evaluation.
+evaluates every scan point's line energies at once; ``_misfits`` fits them,
+and each golden-section step's, to the measured lines.  Arguments are checked
+once per scan or line list, bisection evaluates energies only for closing
+brackets, and each array element is bit-identical to the scalar evaluation.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def transition_lines(
     deltaN1_fixed_M   lines (m, j) -> (m, j+1) for j = 0..n, for the fixed
                       projection given by ``m``;
     all_pairs_within  every pair of distinct levels with quantum numbers up
-                      to ``n_max`` (default: n), optionally dropping lines
-                      above ``cutoff_hz``; more than ``MAX_LINES``
+                      to ``n_max`` (default: n), optionally dropping finite
+                      lines above ``cutoff_hz``; more than ``MAX_LINES``
                       candidate lines raise ``ValueError`` before any is built.
 
     Raises :class:`DissociationError` naming the worst unbound projection
@@ -207,7 +208,10 @@ def transition_lines(
 
     lines = [_make_line(system, field, a, b) for a, b in pairs]
     if cutoff_hz is not None:
-        lines = [l for l in lines if l.frequency_hz <= cutoff_hz]
+        # a line past double precision is kept, so it is not mistaken for a high one
+        lines = [
+            l for l in lines if l.frequency_hz <= cutoff_hz or not math.isfinite(l.frequency_hz)
+        ]
     lines.sort(key=lambda l: (l.frequency_hz, l.m_from, l.n_from, l.m_to, l.n_to))
     return lines
 
@@ -391,50 +395,21 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _line_misfit(model, measured: list[float]):
-    """RMS misfit (Hz) between sorted model and measured line frequencies.
+def _misfits(delta_e: np.ndarray, measured: list[float]) -> np.ndarray:
+    """RMS misfit (Hz) of each row of signed line energies ``delta_e`` (J)
+    against the sorted ``measured`` line frequencies.
 
-    Lines pair up in sorted order when both lists have the same length;
-    otherwise each measured line is matched to its nearest model line.
-    A (scan points x lines) ``model`` array gives its rows' misfits, equal bit for bit to
-    scalar calls: both square by ``core._square`` (``OverflowError`` past double range).
+    A row's |delta E| become its sorted model lines, which pair up with the
+    measured ones in order when there are as many of each; otherwise each
+    measured line is matched to its nearest model line.  Squares go through
+    ``core._square`` (``OverflowError`` past double range), and a row adds
+    them in order along ``cumsum``.
     """
-    if isinstance(model, np.ndarray):
-        y = np.array(measured)
-        paired = model.shape[1] == len(measured)
-        sq = _square(model - y) if paired else _square(model[:, :, None] - y).min(axis=1)
-        return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
-    if len(model) == len(measured):
-        squares = [_square(f - y) for f, y in zip(model, measured)]
-    else:
-        squares = [min(_square(f - y) for f in model) for y in measured]
-    sq = 0.0
-    for square in squares:  # in order, as cumsum adds (Python 3.12's sum compensates)
-        sq += square
-    return math.sqrt(sq / len(measured))
-
-
-def _scan_residuals(
-    measured: list[float],
-    system_template: SpinSystem,
-    field: FieldProfile,
-    n: int,
-    omegas: list[float],
-) -> list[float]:
-    """:func:`_line_misfit` of level n's adjacent-M lines at each omega.
-
-    All (omegas x 2S) line energies come from one array evaluation of
-    :func:`_pair_delta_e`; each equals, bit for bit, the line
-    :func:`transition_lines` gives at that omega.  The caller keeps every
-    omega above the dissociation floor, so every sector is bound; the pair
-    kernel still refuses an unbound one through ``core._sector``.
-    """
-    ladder = system_template.levels()
-    scan = replace(system_template, omega=np.array(omegas)[:, None])
-    upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
-    delta_e = _pair_delta_e(scan, field, (upper, n), (lower, n))
-    delta_e = np.where(delta_e >= 0.0, delta_e, -delta_e)  # the magnitude, as _make_line takes it
-    return _line_misfit(np.sort(delta_e / (TWO_PI * HBAR), axis=1), measured).tolist()
+    model = np.sort(np.abs(delta_e) / (TWO_PI * HBAR), axis=1)
+    y = np.array(measured)
+    paired = model.shape[1] == len(measured)
+    sq = _square(model - y) if paired else _square(model[:, :, None] - y).min(axis=1)
+    return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
 
 
 def identify_frequency(
@@ -454,9 +429,10 @@ def identify_frequency(
     between measured and model lines (matched in sorted order when the full
     2S-line set is given, otherwise to the nearest model line) is minimized
     by a coarse scan followed by golden-section refinement to relative 1e-10.
-    The coarse scan evaluates all ``scan_points`` x 2S model lines as one
-    array (see :func:`_scan_residuals`); the refinement evaluates one omega
-    at a time.
+    The coarse scan evaluates all ``scan_points`` x 2S line energies in one
+    array call of the pair kernel; each refinement step makes 2S scalar calls
+    at its omega.  Both pass their line energies to :func:`_misfits`, so a
+    step's residual equals, bit for bit, the scan's at the same omega.
 
     With g = gbar = 0 the line set carries no frequency information and the
     result comes back with ``identifiable=False`` ("homogeneous field"); the
@@ -493,14 +469,20 @@ def identify_frequency(
                 "bracket does not contain optimum: entire bracket dissociated"
             )
 
+    # level n's adjacent-M pairs, upper level first, as transition_lines pairs them
+    ladder = system_template.levels()
+    pairs = [((a, n), (b, n)) for a, b in zip(ladder[1:], ladder)]
+
     def residual(omega: float) -> float:
         candidate = replace(system_template, omega=omega)
-        model = [l.frequency_hz for l in transition_lines(candidate, field, n)]
-        return _line_misfit(model, measured)
+        row = [_pair_delta_e(candidate, field, a, b) for a, b in pairs]
+        return float(_misfits(np.array([row]), measured)[0])
 
     xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
+    scan = replace(system_template, omega=np.array(xs)[:, None])
+    upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
     try:
-        fs = _scan_residuals(measured, system_template, field, n, xs)
+        fs = _misfits(_pair_delta_e(scan, field, (upper, n), (lower, n)), measured).tolist()
     except OverflowError:
         fs = [math.inf]
     if not all(map(math.isfinite, fs)):
@@ -510,20 +492,14 @@ def identify_frequency(
         return InversionResult(
             math.nan, f_min, (lo, hi), False, "unidentifiable: residual flat in omega"
         )
-    basins = [
-        i
-        for i in range(1, len(xs) - 1)
-        if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]
-    ]
-    i_min = fs.index(f_min)
-    if (i_min == 0 or i_min == len(xs) - 1) and (
-        not basins or f_min < min(fs[i] for i in basins)
-    ):
+    # an interior global minimum is a basin, so only an edge can beat them all
+    basins = [i for i in range(1, len(xs) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
+    basins.sort(key=fs.__getitem__)
+    if not basins or f_min < fs[basins[0]]:
         raise InversionError("bracket does not contain optimum")
 
     # refine the few deepest basins: a noiseless data set has an exactly-zero
     # residual at the true frequency, which beats any near-alias after refinement
-    basins.sort(key=lambda i: fs[i])
     estimate = rms = None
     for i in basins[:3]:
         candidate = _golden_minimize(residual, xs[i - 1], xs[i + 1], 1e-10)

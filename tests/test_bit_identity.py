@@ -27,7 +27,8 @@ from parabolic_mr import (
 from parabolic_mr import spectroscopy
 from parabolic_mr.cli import run
 from parabolic_mr.constants import HBAR, TWO_PI
-from parabolic_mr.spectroscopy import _line_misfit, _pair_delta_e, _scan_residuals
+from parabolic_mr.core import _square
+from parabolic_mr.spectroscopy import _misfits, _pair_delta_e
 
 
 def bits(values):
@@ -107,7 +108,23 @@ def test_omega_arrays_square_like_python_floats():
     assert np.array_equal(bits(_pair_delta_e(scan, field, (1.5, 3), (-0.5, 3))), bits(want))
 
 
+def scalar_misfit(model, measured):
+    """The RMS misfit of sorted model lines, one line at a time: paired in
+    order, or each measured line to its nearest model line, adding the
+    squares in order as ``cumsum`` does (Python 3.12's ``sum`` compensates)."""
+    if len(model) == len(measured):
+        squares = [_square(f - y) for f, y in zip(model, measured)]
+    else:
+        squares = [min(_square(f - y) for f in model) for y in measured]
+    sq = 0.0
+    for square in squares:
+        sq += square
+    return math.sqrt(sq / len(measured))
+
+
 def test_coarse_scan_residuals_match_scalar_residual():
+    # the coarse scan's one array call and a golden-section step's 2S scalar
+    # calls both give the misfit of the line list transition_lines builds
     rng = np.random.default_rng(99)
     for k in range(24):
         system, field, _ = random_stable_scenario(rng)
@@ -118,16 +135,25 @@ def test_coarse_scan_residuals_match_scalar_residual():
         template = replace(system, omega=1.0)
         # |mbar| < 0.9 at system.omega, so every sector stays bound above it
         omegas = np.linspace(system.omega, system.omega * 3.0, 64).tolist()
-        got = _scan_residuals(measured, template, field, n, omegas)
+        ladder = template.levels()
+        upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
+        scan = replace(template, omega=np.array(omegas)[:, None])
+        got = _misfits(_pair_delta_e(scan, field, (upper, n), (lower, n)), measured)
         want = [
-            _line_misfit(
+            scalar_misfit(
                 [l.frequency_hz for l in transition_lines(replace(template, omega=w), field, n)],
                 measured,
             )
             for w in omegas
         ]
         assert np.array_equal(bits(got), bits(want))
-        assert not any(math.isnan(v) for v in got)
+        assert not any(math.isnan(v) for v in want)
+        for w, value in list(zip(omegas, want))[::9]:
+            step = replace(template, omega=w)
+            row = [
+                _pair_delta_e(step, field, (a, n), (b, n)) for a, b in zip(ladder[1:], ladder)
+            ]
+            assert np.array_equal(bits(_misfits(np.array([row]), measured)), bits([value]))
 
 
 def scalar_bisection(system, field, level_a, level_b, lo, hi, f_lo, g_scale):

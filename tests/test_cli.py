@@ -316,6 +316,12 @@ class TestOverflowingScenarios:
         assert err == "ERROR 2: levels would hold a value past double precision\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cutoff", [{}, {"cutoff_hz": 1e15}])
+    def test_infinite_lines_refused_with_or_without_cutoff(self, tmp_path, capsys, cutoff):
+        path = write_config(tmp_path, g=1e200, **cutoff)
+        err = assert_config_error(tmp_path, capsys, "lines", path)
+        assert err == "ERROR 2: lines would hold a value past double precision\n"
+
     def test_overflowing_misfit_exits_2(self, tmp_path, capsys):
         # the model lines sit near 1e209 Hz: Python's pow refuses their square
         path = write_config(

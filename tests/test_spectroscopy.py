@@ -137,6 +137,14 @@ class TestTransitionLines:
         )
         assert len(trimmed) == 8
 
+    def test_cutoff_keeps_lines_past_double_precision(self):
+        # an infinite line is not one above the cutoff: the caller must see it
+        system = SpinSystem(mass=1e-26, gamma=5e10, spin=1.0, omega=2e5, offset=1e-6)
+        field = FieldProfile(0.001, 1e200, 10.0)
+        lines = transition_lines(system, field, 0)
+        assert [l.frequency_hz for l in lines] == [math.inf, math.inf]
+        assert transition_lines(system, field, 0, cutoff_hz=1e15) == lines
+
     def test_all_pairs_refused_above_max_lines(self, monkeypatch):
         # 3 x 242 levels pair into 263175 lines, just above the cap; one
         # oscillator level fewer (261003 lines) stays within it

@@ -1,10 +1,12 @@
 """Repository-level checks: the runtime dependency set, the public surface,
 where dissociation is decided and mbar derived, what the oracle imports, the
-argument checks of a crossing scan, the README's config-key table, the
-module entry point and the benchmark harness."""
+argument checks of a crossing scan, the one line misfit of the inversion, the
+README's config-key table, the module entry point, the demo scripts and the
+benchmark harness."""
 
 import ast
 import glob
+import hashlib
 import os
 import re
 import subprocess
@@ -131,6 +133,24 @@ def test_crossing_points_are_built_in_one_place():
     assert [type(node) for node in bisect.body[-2:]] == [ast.For, ast.Return]
 
 
+def test_inversion_has_one_line_misfit():
+    # the coarse scan and every golden-section step fit line energies from
+    # the pair kernel through one misfit, the only squaring in spectroscopy,
+    # and build no TransitionLine on the way
+    tree = _module_trees()["spectroscopy"]
+
+    def called(top):
+        return {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+        }
+
+    tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert not called(tops["identify_frequency"]) & {"transition_lines", "_make_line"}
+    assert [name for name, top in tops.items() if "_square" in called(top)] == ["_misfits"]
+
+
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
     # the scan checks each level's M once, the first grid point's energies
     # check them once more as one array, and bisection checks none of its
@@ -218,3 +238,48 @@ def test_benchmark_smoke_mode_passes():
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+
+
+def run_script(name, *args):
+    """A demo script run in a fresh interpreter on the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+    )
+
+
+def test_figure1_demo_writes_the_pinned_figure(tmp_path):
+    from test_bit_identity import FIGURE1_SHA256
+
+    proc = run_script("figure1_demo.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    } == FIGURE1_SHA256
+
+
+#: The mixture demo's stdout: its estimates come from ``identify_frequency``.
+MIXTURE_DEMO_STDOUT = """\
+line positions (n = 1 sublevel spectrum, Hz):
+  species A: 53.001, 53.003, 53.005
+  species B: 52.981, 52.982, 52.982
+
+inversion over bracket (5e4, 6e5) rad/s:
+  species A: omega_hat = 110000 rad/s (true 110000, relative error 1.55e-11)
+  species B: omega_hat = 270000 rad/s (true 270000, relative error 7.83e-10)
+
+uniform field control: identifiable = False (unidentifiable: homogeneous field)
+"""
+
+
+def test_mixture_demo_prints_the_pinned_estimates():
+    proc = run_script("mixture_identification_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == MIXTURE_DEMO_STDOUT
