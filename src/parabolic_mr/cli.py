@@ -5,11 +5,15 @@ rejected, which catches unit typos early).  All floating-point output uses
 17 significant digits so files can be diffed at full double precision, and
 a given config always produces byte-identical files.
 
+Each subcommand builds its files, refusing a table that holds an inf or nan,
+then one writer creates ``--out``, writes them all (a failed write removes
+those already written) and prints one ``wrote`` line.
+
 Exit codes: 0 success; 2 config or validation error, or an --out that
 cannot be written; 3 physics-domain error (dissociation, unidentifiable);
 4 numerical non-convergence; 1 validation mismatch (oracle converged but
-disagreed beyond tolerance).  Errors print a single machine-greppable line
-``ERROR <code>: <detail>`` to stderr.
+disagreed beyond tolerance; ``validation.json`` is still written).  Errors
+print a single machine-greppable line ``ERROR <code>: <detail>`` to stderr.
 """
 
 from __future__ import annotations
@@ -43,10 +47,16 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERIC = 4
 
+
+class ValidationFailed(Exception):
+    """The oracle converged but disagreed with the closed forms beyond tol."""
+
+
 #: Exit code of each error family; an error takes that of its nearest base
 #: class here (a ConfigError is a ValueError).  An OSError is the output
 #: directory's: the config and measured-lines reads raise ConfigError.
 _ERROR_EXITS = {
+    ValidationFailed: EXIT_VALIDATION_FAILED,
     PhysicsError: EXIT_PHYSICS,
     ConvergenceError: EXIT_NUMERIC,
     ValueError: EXIT_CONFIG,
@@ -297,12 +307,6 @@ def write_json(path: str, payload) -> None:
         fh.write(text)
 
 
-def _require_finite(what: str, rows) -> None:
-    """Refuse a table holding an inf or nan: the scenario overflowed a double."""
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-        raise ValueError(f"{what} would hold a value past double precision")
-
-
 def read_lines_csv(path: str) -> list[float]:
     """Read back the freq_hz column of a lines.csv written by this tool."""
     try:
@@ -317,26 +321,43 @@ def read_lines_csv(path: str) -> list[float]:
         raise ConfigError(f"measured lines file {path} contains no data rows")
     if any(len(row) != len(header) for row in data):
         raise ConfigError(f"malformed row in measured lines file {path}")
-    out = [float(row[header.index("freq_hz")]) for row in data]
+    try:
+        out = [float(row[header.index("freq_hz")]) for row in data]
+    except ValueError as exc:
+        raise ConfigError(f"measured lines file {path} holds a non-numeric frequency") from exc
     if not all(map(math.isfinite, out)):
         raise ConfigError(f"measured lines file {path} holds a non-finite frequency")
     return out
 
 
-def _emit(records, columns, out_dir: str, stem: str, fmt: str) -> str:
-    _require_finite(stem, records)
-    os.makedirs(out_dir, exist_ok=True)
+def _table(records, columns, stem: str, fmt: str):
+    """(file name, writer, arguments) of a table; refuses an inf or nan (an overflow)."""
+    if not all(map(math.isfinite, itertools.chain.from_iterable(records))):
+        raise ValueError(f"{stem} would hold a value past double precision")
     if fmt == "csv":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        write_csv(path, columns, records)
-    else:
-        path = os.path.join(out_dir, f"{stem}.json")
-        ordered = sorted(records, key=lambda row: tuple(row))
-        write_json(path, [dict(zip(columns, row)) for row in ordered])
-    return path
+        return f"{stem}.csv", write_csv, (columns, records)
+    rows = sorted(records, key=tuple)
+    return f"{stem}.json", write_json, ([dict(zip(columns, row)) for row in rows],)
 
 
-def _cmd_spectrum(scenario: Scenario, args) -> int:
+def _write(out_dir: str, outputs, note: str = "") -> None:
+    """Write every (file name, writer, arguments) output into ``out_dir`` and
+    print one ``wrote`` line; a failed write removes the files written so far."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    try:
+        for name, writer, writer_args in outputs:
+            path = os.path.join(out_dir, name)
+            writer(path, *writer_args)
+            paths.append(path)
+    except BaseException:
+        for path in paths:
+            os.remove(path)
+        raise
+    print(f"wrote {' and '.join(paths)}{note}")
+
+
+def _cmd_spectrum(scenario: Scenario, args) -> None:
     scale = HBAR * scenario.system.omega
     levels = scenario.all_levels()
     _require_all_bound(scenario.system, scenario.field, [m for m, _ in levels])
@@ -344,26 +365,18 @@ def _cmd_spectrum(scenario: Scenario, args) -> int:
     for m, n in levels:
         e = energy_level(scenario.system, scenario.field, m, n)
         rows.append((m, n, e, e / scale))
-    path = _emit(rows, ["M", "n", "energy_J", "energy_hbar_omega"], args.out, "levels", args.format)
-    print(f"wrote {path}")
-    return EXIT_OK
+    columns = ["M", "n", "energy_J", "energy_hbar_omega"]
+    _write(args.out, [_table(rows, columns, "levels", args.format)])
 
 
-def _cmd_lines(scenario: Scenario, args) -> int:
+def _cmd_lines(scenario: Scenario, args) -> None:
     lines = transition_lines(
-        scenario.system,
-        scenario.field,
-        scenario.fixed_n,
-        scenario.rule,
-        m=scenario.fixed_m,
-        n_max=scenario.n_max,
-        cutoff_hz=scenario.cutoff_hz,
+        scenario.system, scenario.field, scenario.fixed_n, scenario.rule,
+        m=scenario.fixed_m, n_max=scenario.n_max, cutoff_hz=scenario.cutoff_hz,
     )
     rows = [(l.m_from, l.n_from, l.m_to, l.n_to, l.delta_e, l.frequency_hz) for l in lines]
     columns = ["M_from", "n_from", "M_to", "n_to", "delta_e_J", "freq_hz"]
-    path = _emit(rows, columns, args.out, "lines", args.format)
-    print(f"wrote {path} ({len(rows)} lines)")
-    return EXIT_OK
+    _write(args.out, [_table(rows, columns, "lines", args.format)], f" ({len(rows)} lines)")
 
 
 _CROSSING_COLUMNS = ["gbar", "M_a", "n_a", "M_b", "n_b", "energy_J"]
@@ -391,19 +404,17 @@ def _scan_crossings(scenario: Scenario):
     return rows, result
 
 
-def _cmd_crossings(scenario: Scenario, args) -> int:
+def _cmd_crossings(scenario: Scenario, args) -> None:
     if scenario.gbar_min is None or scenario.gbar_max is None:
         raise ConfigError("crossings requires gbar_min and gbar_max")
     rows, result = _scan_crossings(scenario)
-    path = _emit(rows, _CROSSING_COLUMNS, args.out, "crossings", args.format)
-    note = ""
-    if result.degenerate_pairs:
-        note = f"; {len(result.degenerate_pairs)} pairs degenerate, no isolated crossings"
-    print(f"wrote {path} ({len(result.crossings)} crossings{note})")
-    return EXIT_OK
+    table = _table(rows, _CROSSING_COLUMNS, "crossings", args.format)
+    degenerate = len(result.degenerate_pairs)
+    note = f"; {degenerate} pairs degenerate, no isolated crossings" if degenerate else ""
+    _write(args.out, [table], f" ({len(result.crossings)} crossings{note})")
 
 
-def _cmd_invert(scenario: Scenario, args) -> int:
+def _cmd_invert(scenario: Scenario, args) -> None:
     if scenario.bracket is None:
         raise ConfigError("invert requires bracket_lo and bracket_hi")
     if scenario.measured_lines is not None:
@@ -422,40 +433,27 @@ def _cmd_invert(scenario: Scenario, args) -> int:
     )
     if not result.identifiable:
         raise UnidentifiableError(result.reason)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "inversion.json")
-    write_json(
-        path,
-        {
-            "omega_estimate_rad_per_s": result.omega_estimate,
-            "omega_estimate_hz": result.omega_estimate / TWO_PI,
-            "residual_rms_hz": result.residual_rms_hz,
-            "bracket_rad_per_s": list(result.bracket),
-            "identifiable": result.identifiable,
-            "n": scenario.fixed_n,
-            "lines_used": len(measured),
-        },
-    )
-    print(f"wrote {path}")
-    return EXIT_OK
+    payload = {
+        "omega_estimate_rad_per_s": result.omega_estimate,
+        "omega_estimate_hz": result.omega_estimate / TWO_PI,
+        "residual_rms_hz": result.residual_rms_hz,
+        "bracket_rad_per_s": list(result.bracket),
+        "identifiable": result.identifiable,
+        "n": scenario.fixed_n,
+        "lines_used": len(measured),
+    }
+    _write(args.out, [("inversion.json", write_json, (payload,))])
 
 
-def _cmd_validate(scenario: Scenario, args) -> int:
+def _cmd_validate(scenario: Scenario, args) -> None:
+    """Write the report, then raise :class:`ValidationFailed` on a mismatch."""
     report = validate_levels(
         scenario.system, scenario.field, scenario.all_levels(), tol=scenario.tol
     )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "validation.json")
-    write_json(path, report.to_dict())
-    print(f"wrote {path} (max_rel_error={report.max_rel_error:.3e})")
+    worst = f"max_rel_error={report.max_rel_error:.3e}"
+    _write(args.out, [("validation.json", write_json, (report.to_dict(),))], f" ({worst})")
     if not report.passed():
-        print(
-            f"ERROR {EXIT_VALIDATION_FAILED}: validation failed "
-            f"(max_rel_error={report.max_rel_error:.3e} tol={scenario.tol:.3e})",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION_FAILED
-    return EXIT_OK
+        raise ValidationFailed(f"validation failed ({worst} tol={scenario.tol:.3e})")
 
 
 def _with_scan_range(scenario: Scenario) -> Scenario:
@@ -481,7 +479,7 @@ def figure1_scenario() -> Scenario:
     return _with_scan_range(Scenario(system, field, n_max=2, scan_steps=256))
 
 
-def _cmd_figure1(scenario: Scenario | None, args) -> int:
+def _cmd_figure1(scenario: Scenario | None, args) -> None:
     scenario = figure1_scenario() if scenario is None else _with_scan_range(scenario)
     steps = scenario.scan_steps
     g_lo, g_hi = scenario.gbar_min, scenario.gbar_max
@@ -499,11 +497,10 @@ def _cmd_figure1(scenario: Scenario | None, args) -> int:
         np.array([n for _, n in ordered], dtype=int),
     )
     rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
-    _require_finite("figure1_crossings", crossing_rows)  # both tables, before either file
-    levels_path = _emit(rows, columns, args.out, "figure1_levels", "csv")
-    crossings_path = _emit(crossing_rows, _CROSSING_COLUMNS, args.out, "figure1_crossings", "csv")
-    print(f"wrote {levels_path} and {crossings_path} ({len(result.crossings)} crossings)")
-    return EXIT_OK
+    # the crossing table is checked first: when both overflow, the error names it
+    crossings = _table(crossing_rows, _CROSSING_COLUMNS, "figure1_crossings", "csv")
+    levels = _table(rows, columns, "figure1_levels", "csv")
+    _write(args.out, [levels, crossings], f" ({len(result.crossings)} crossings)")
 
 
 _COMMANDS = {
@@ -545,7 +542,8 @@ def run(argv) -> int:
         if args.config is not None:
             scenario = load_config(args.config, args.omega_unit)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: one ERROR line, no warning
-            return _COMMANDS[args.command](scenario, args)
+            _COMMANDS[args.command](scenario, args)
+        return EXIT_OK
     except tuple(_ERROR_EXITS) as exc:
         code = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
         print(f"ERROR {code}: {exc}", file=sys.stderr)

@@ -184,6 +184,16 @@ class TestConfigBounds:
         with pytest.raises(ConfigError, match="non-finite"):
             read_lines_csv(str(path))
 
+    def test_non_numeric_measured_lines_file_named(self, tmp_path, capsys):
+        lines = tmp_path / "lines.csv"
+        lines.write_text("M_from,freq_hz\n0.5,1000.0\n-0.5,abc\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"file {re.escape(str(lines))} holds a non-numeric"):
+            read_lines_csv(str(lines))
+        path = write_config(
+            tmp_path, measured_lines_file=str(lines), bracket_lo=1e4, bracket_hi=1e6
+        )
+        assert f"file {lines} holds" in assert_config_error(tmp_path, capsys, "invert", path)
+
     @pytest.mark.parametrize(
         "command, key, value",
         [
@@ -576,6 +586,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ERROR 2: ")
         assert "Traceback" not in err
+
+    def test_failed_write_leaves_none_of_the_run_files(self, tmp_path, capsys):
+        # figure1 writes its level table first; the crossing table's path is a
+        # directory, so that write fails and the level table is removed again
+        out = tmp_path / "out"
+        (out / "figure1_crossings.csv").mkdir(parents=True)
+        assert run(["figure1", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("ERROR 2: ")
+        assert sorted(p.name for p in out.iterdir()) == ["figure1_crossings.csv"]
+        assert (out / "figure1_crossings.csv").is_dir()
 
 
 class TestDeterminism:

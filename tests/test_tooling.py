@@ -1,12 +1,16 @@
 """Repository-level checks: the runtime dependency set, the public surface,
 where dissociation is decided and mbar derived, what the oracle imports, the
 argument checks of a crossing scan, the one line misfit of the inversion, the
-README's config-key table, the module entry point, the demo scripts and the
-benchmark harness."""
+CLI's one writer and one error line, the README's config-key table, the
+module entry point, the demo scripts and the benchmark harness and tracer."""
 
 import ast
 import glob
 import hashlib
+import importlib
+import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -151,6 +155,38 @@ def test_inversion_has_one_line_misfit():
     assert [name for name, top in tops.items() if "_square" in called(top)] == ["_misfits"]
 
 
+def test_cli_has_one_writer_and_one_error_line():
+    # every subcommand hands its files to one writer, which makes --out and
+    # prints the one "wrote" line; run prints the only ERROR line, and a
+    # validation mismatch reaches it as an exception mapped to exit 1
+    tree = _module_trees()["cli"]
+    owner = {}  # node -> name of the top-level def, class or assignment holding it
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        if isinstance(top, ast.Assign):
+            name = getattr(top.targets[0], "id", None)
+        for node in ast.walk(top):
+            owner[node] = name
+    assert "_emit" not in {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    makedirs = [n for n in calls if getattr(n.func, "attr", None) == "makedirs"]
+    assert [owner[n] for n in makedirs] == ["_write"]
+    prints = [n for n in calls if getattr(n.func, "id", None) == "print"]
+    to_stderr = [n for n in prints if any(k.arg == "file" for k in n.keywords)]
+    assert [owner[n] for n in to_stderr] == ["run"]
+    assert ast.unparse(to_stderr[0].keywords[0].value) == "sys.stderr"
+    leading = [n.args[0].values[0] if isinstance(n.args[0], ast.JoinedStr) else n.args[0]
+               for n in prints]
+    wrote = [n for n, text in zip(prints, leading) if str(text.value).startswith("wrote ")]
+    assert [owner[n] for n in wrote] == ["_write"] and len(prints) == 2
+    uses = [
+        owner[node] for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "EXIT_VALIDATION_FAILED"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert uses == ["_ERROR_EXITS"]
+
+
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
     # the scan checks each level's M once, the first grid point's energies
     # check them once more as one array, and bisection checks none of its
@@ -238,6 +274,50 @@ def test_benchmark_smoke_mode_passes():
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # a traced name that vanished would make its per-layer metrics read null
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(ROOT, "bench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for metric, bindings in tracing.SPANS.items():
+        resolved = [
+            callable(getattr(importlib.import_module(f"parabolic_mr.{module}"), attr, None))
+            for module, attr in bindings
+        ]
+        assert any(resolved), metric
+
+
+def test_traced_benchmark_reports_every_layer():
+    # a smoke-size traced run of the validate and cli workloads reports every
+    # per-layer value as a finite number: no null, no NaN
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "import run\n"
+        "for workload in ('validate', 'cli'):\n"
+        "    result, _ = run.measure(workload, 0, 0.0, 1, import_probes=1,\n"
+        "                            trace_ops=run.SMOKE_OPS[workload])\n"
+        "    print(json.dumps(result))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    results = [json.loads(line, parse_constant=refuse) for line in proc.stdout.splitlines()]
+    assert len(results) == 2
+    for result in results:
+        assert result["correct"] and result["failed"] == 0, result
+        for name, metric in result["metrics"].items():
+            value = metric["value"]
+            assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
 
 
 def run_script(name, *args):
