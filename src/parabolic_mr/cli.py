@@ -39,7 +39,8 @@ from .core import (
 )
 from .errors import ConvergenceError, PhysicsError, UnidentifiableError
 from .oracle import MAX_DVR_POINTS, MIN_TOL, validate_levels
-from .spectroscopy import SELECTION_RULES, crossing_scan, identify_frequency, transition_lines
+from .spectroscopy import SELECTION_RULES, _scan_grid, crossing_scan, identify_frequency
+from .spectroscopy import transition_lines
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -283,20 +284,15 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".16e")
-
-
 def write_csv(path: str, columns, rows) -> None:
-    """Write rows as RFC-4180 CSV: header, 17-significant-digit floats, LF, rows
-    sorted by their leading columns; encoded whole first, so an error writes no file."""
+    """Write rows as RFC-4180 CSV: header, ints as such and other values as
+    17-significant-digit floats, LF, rows sorted by their leading columns;
+    encoded whole first, so an error writes no file."""
     lines = [",".join(columns)]
     for row in sorted(rows, key=lambda row: tuple(row)):
         if len(row) != len(columns):
             raise ValueError("row length does not match the header")
-        lines.append(",".join(map(_fmt, row)))
+        lines.append(",".join("%s" if isinstance(v, int) else "%.16e" for v in row) % tuple(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -481,9 +477,7 @@ def figure1_scenario() -> Scenario:
 
 def _cmd_figure1(scenario: Scenario | None, args) -> None:
     scenario = figure1_scenario() if scenario is None else _with_scan_range(scenario)
-    steps = scenario.scan_steps
-    g_lo, g_hi = scenario.gbar_min, scenario.gbar_max
-    gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
+    gs = _scan_grid(scenario.gbar_min, scenario.gbar_max, scenario.scan_steps)
 
     # the scan refuses an oversized or dissociated range and an unconverged
     # crossing, so it runs before the level table and before any file is written

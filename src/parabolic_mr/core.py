@@ -54,15 +54,19 @@ def _positive_finite(x) -> bool:
 
 
 def _square(x):
-    """x**2 by Python's float power, elementwise over a numpy array.
+    """x**2 by libm ``pow``, elementwise over a numpy array; inf past double range.
 
-    Python's ``**`` calls libm ``pow``, which differs in the last bit from
-    numpy's ``x*x`` squaring for some doubles; squaring each element the
-    Python way keeps array results bit-identical to scalar ones.
+    Python's ``**`` and ``np.float_power`` call the same ``pow``, which differs
+    in the last bit from numpy's ``x*x`` for some doubles, so array squares stay
+    bit-identical to scalar ones.  No square raises an exception or a warning.
     """
     if isinstance(x, ndarray):
-        return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
-    return x**2
+        with np.errstate(over="ignore"):
+            return np.float_power(x, 2.0)
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _sqrt(x):
@@ -87,7 +91,7 @@ class SpinSystem:
     omega: float
     offset: float = 0.0
     sample_half_length: float | None = None
-    #: omega**2 by Python's float power (see :func:`_square`), squared once
+    #: omega**2 through C ``pow`` (see :func:`_square`), squared once
     #: here so every closed form reads the same value for scalars and arrays.
     _omega_squared: float = dataclass_field(init=False, repr=False, compare=False)
 
@@ -112,10 +116,7 @@ class SpinSystem:
                 raise ValueError(
                     "invalid system: |offset| must be smaller than sample_half_length"
                 )
-        try:
-            omega_squared = _square(self.omega)
-        except OverflowError:
-            omega_squared = math.inf
+        omega_squared = _square(self.omega)
         if not _positive_finite(self.mass * omega_squared):
             raise ValueError(
                 "invalid system: omega**2 and mass*omega**2 must be positive finite doubles"

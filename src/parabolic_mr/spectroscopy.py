@@ -216,6 +216,11 @@ def transition_lines(
     return lines
 
 
+def _scan_grid(lo: float, hi: float, intervals: int) -> list[float]:
+    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan."""
+    return [lo + (hi - lo) * i / intervals for i in range(intervals + 1)]
+
+
 def crossing_scan(
     system: SpinSystem,
     field_base: FieldProfile,
@@ -268,14 +273,14 @@ def crossing_scan(
     if not (g_lo < g_hi):
         raise DissociationError("scan range entirely dissociated for the requested levels")
 
-    gs = [g_lo + (g_hi - g_lo) * i / steps for i in range(steps + 1)]
+    gs = _scan_grid(g_lo, g_hi, steps)
     g_scale = max(abs(g_lo), abs(g_hi))
     grid = replace(field_base, gbar=np.array(gs))
     e_abs = np.abs(energy_level(system, replace(field_base, gbar=gs[0]), ms, ns))
 
     degenerate = []
     tangencies = []
-    brackets = []  # (first level, second level, a, b, d(a)); a == b at a grid zero
+    brackets = []  # (first level, second level, a, b, d(a) > 0); a == b at a grid zero
     for i in range(len(level_list) - 1):
         js = np.arange(i + 1, len(level_list))
         pairs = [(level_list[i], level_list[j]) for j in js.tolist()]
@@ -305,10 +310,10 @@ def crossing_scan(
         degenerate.extend(pairs[row] for row in np.flatnonzero(degenerate_rows))
         tangencies.extend((gs[idx], pairs[row]) for row, idx in zip(*np.nonzero(dips)))
         brackets.extend(
-            (i, i + 1 + row, gs[idx], gs[idx], 0.0) for row, idx in zip(*np.nonzero(landed))
+            (i, i + 1 + row, gs[idx], gs[idx], False) for row, idx in zip(*np.nonzero(landed))
         )
         brackets.extend(
-            (i, i + 1 + row, gs[idx], gs[idx + 1], ds[row, idx])
+            (i, i + 1 + row, gs[idx], gs[idx + 1], ds[row, idx] > 0.0)
             for row, idx in zip(*np.nonzero(flips))
         )
 
@@ -325,23 +330,23 @@ def _bisect_crossings(
     level_list: list[tuple[float, int]],
     ms: np.ndarray,
     ns: np.ndarray,
-    brackets: list[tuple[int, int, float, float, float]],
+    brackets: list[tuple[int, int, float, float, bool]],
     g_scale: float,
 ) -> list[CrossingPoint]:
     """Bisect every bracketed crossing of a scan at once.
 
     ``brackets`` holds (first level, second level, a, b, E_first - E_second
-    at a), the levels as indices into ``level_list`` and its M and n arrays
-    ``ms`` and ``ns``, all checked by the scan.  Each step evaluates all open
-    midpoints as one array, exactly as scalar bisections would, and then the
-    energies of the tested brackets: those within width 1e-10 * max(|a|, |b|,
-    g_scale) or at a zero difference, and all on the step after
+    > 0 at a), the levels as indices into ``level_list`` and its M and n
+    arrays ``ms`` and ``ns``, all checked by the scan.  Each step evaluates all
+    open midpoints as one array, exactly as scalar bisections would, and then
+    the energies of the tested brackets: those within width 1e-10 * max(|a|,
+    |b|, g_scale) or at a zero difference, and all on the step after
     ``MAX_BISECTION_STEPS``.  A tested bracket closes at its midpoint when it
     converged (|E_a - E_b| <= 1e-10 * max(|E_a|, |E_b|) within the width, or
     a zero difference), when it froze (its midpoint is an end: no double lies
     between them), or on that last step; only the first has ``converged=True``.
     """
-    first, second, a, b, fa = (np.array(column) for column in zip(*brackets))
+    first, second, a, b, positive = (np.array(column) for column in zip(*brackets))
     m_a, n_a, m_b, n_b = ms[first], ns[first], ms[second], ns[second]
     found = []
     for step in range(MAX_BISECTION_STEPS + 1):
@@ -349,8 +354,8 @@ def _bisect_crossings(
         frozen = (mid == a) | (mid == b)
         fm = _pair_delta_e(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
         width_ok = width <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
-        right = (fm > 0.0) == (fa > 0.0)  # the sign change lies right of mid
-        a, b, fa = np.where(right, mid, a), np.where(right, b, mid), np.where(right, fm, fa)
+        right = (fm > 0.0) == positive  # the sign change lies right of mid; d keeps its sign at a
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
         last = step == MAX_BISECTION_STEPS
         tested = np.flatnonzero(width_ok | (fm == 0.0) | last)
         if not len(tested):
@@ -367,8 +372,8 @@ def _bisect_crossings(
             found.append(CrossingPoint(float(mid[k]), *pair, e, float(width[k]), ok))
         keep = np.ones(len(a), dtype=bool)
         keep[closed] = False
-        a, b, fa, first, second, m_a, n_a, m_b, n_b = (
-            column[keep] for column in (a, b, fa, first, second, m_a, n_a, m_b, n_b)
+        a, b, positive, first, second, m_a, n_a, m_b, n_b = (
+            column[keep] for column in (a, b, positive, first, second, m_a, n_a, m_b, n_b)
         )
         if not len(a):
             break
@@ -402,14 +407,17 @@ def _misfits(delta_e: np.ndarray, measured: list[float]) -> np.ndarray:
     A row's |delta E| become its sorted model lines, which pair up with the
     measured ones in order when there are as many of each; otherwise each
     measured line is matched to its nearest model line.  Squares go through
-    ``core._square`` (``OverflowError`` past double range), and a row adds
-    them in order along ``cumsum``.
+    ``core._square`` (inf past double range), and a row adds them in order
+    along ``cumsum``.  A misfit that is not finite raises ``ValueError``.
     """
     model = np.sort(np.abs(delta_e) / (TWO_PI * HBAR), axis=1)
     y = np.array(measured)
     paired = model.shape[1] == len(measured)
     sq = _square(model - y) if paired else _square(model[:, :, None] - y).min(axis=1)
-    return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
+    misfits = np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
+    if not np.isfinite(misfits).all():
+        raise ValueError("line misfit past double precision: model lines far off the measured")
+    return misfits
 
 
 def identify_frequency(
@@ -438,7 +446,7 @@ def identify_frequency(
     result comes back with ``identifiable=False`` ("homogeneous field"); the
     same happens when the residual is flat over the bracket (relative
     variation below 1e-12).  A residual minimum on the bracket edge raises
-    :class:`InversionError`, and a misfit past double precision ``ValueError``.
+    :class:`InversionError`, and a misfit or bracket end past the doubles ``ValueError``.
     """
     measured = sorted(float(v) for v in lines_hz)
     if not measured:
@@ -465,9 +473,7 @@ def identify_frequency(
         )
         lo = max(lo, omega_floor * (1.0 + 1e-9))
         if not (lo < hi):
-            raise InversionError(
-                "bracket does not contain optimum: entire bracket dissociated"
-            )
+            raise InversionError("bracket does not contain optimum: entire bracket dissociated")
 
     # level n's adjacent-M pairs, upper level first, as transition_lines pairs them
     ladder = system_template.levels()
@@ -478,15 +484,13 @@ def identify_frequency(
         row = [_pair_delta_e(candidate, field, a, b) for a, b in pairs]
         return float(_misfits(np.array([row]), measured)[0])
 
-    xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    scan = replace(system_template, omega=np.array(xs)[:, None])
-    upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
+    xs = _scan_grid(lo, hi, scan_points - 1)
     try:
-        fs = _misfits(_pair_delta_e(scan, field, (upper, n), (lower, n)), measured).tolist()
-    except OverflowError:
-        fs = [math.inf]
-    if not all(map(math.isfinite, fs)):
-        raise ValueError("line misfit past double precision: model lines far off the measured")
+        scan = replace(system_template, omega=np.array(xs)[:, None])
+    except ValueError:  # the template is valid, so only omega can be refused
+        raise ValueError("bracket ends must keep mass*omega**2 a positive finite double") from None
+    upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
+    fs = _misfits(_pair_delta_e(scan, field, (upper, n), (lower, n)), measured).tolist()
     f_min, f_max = min(fs), max(fs)
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(

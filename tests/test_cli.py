@@ -8,6 +8,7 @@ import sys
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -270,6 +271,15 @@ class TestWriteCsv:
             write_csv(str(path), ["a", "b"], [(1.0, 2.0), (3.0,)])
         assert not path.exists()
 
+    def test_python_ints_plain_and_other_numbers_in_e_format(self, tmp_path):
+        path = tmp_path / "kinds.csv"
+        row = (3, np.int64(3), np.float64(0.1), -0.0, 2.5e-300)
+        write_csv(str(path), ["a", "b", "c", "d", "e"], [row])
+        assert path.read_text().splitlines()[1] == (
+            "3,3.0000000000000000e+00,1.0000000000000001e-01,"
+            "-0.0000000000000000e+00,2.5000000000000000e-300"
+        )
+
     def test_seventeen_significant_digits(self, tmp_path):
         path = tmp_path / "prec.csv"
         value = 1.0545718171234567e-34
@@ -333,13 +343,26 @@ class TestOverflowingScenarios:
         assert err == "ERROR 2: lines would hold a value past double precision\n"
 
     def test_overflowing_misfit_exits_2(self, tmp_path, capsys):
-        # the model lines sit near 1e209 Hz: Python's pow refuses their square
+        # the model lines sit near 1e209 Hz: their squares leave the doubles
         path = write_config(
             tmp_path, b0=1e200, fixed_n=1, measured_lines=[1e6, 2e6],
             bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
         )
         assert "line misfit past double precision" in assert_config_error(
             tmp_path, capsys, "invert", path
+        )
+
+
+    def test_bracket_end_past_the_doubles_is_named(self, tmp_path, capsys):
+        # on the README quickstart trap the refusal names the bracket, not the
+        # coarse scan's system
+        path = write_config(
+            tmp_path, **QUICKSTART, fixed_n=1, measured_lines=[1e6, 2e6, 3e6],
+            bracket_lo=1e-300, bracket_hi=1e300,
+        )
+        err = assert_config_error(tmp_path, capsys, "invert", path)
+        assert err == (
+            "ERROR 2: bracket ends must keep mass*omega**2 a positive finite double\n"
         )
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from parabolic_mr import (
     transition_lines,
 )
 from parabolic_mr.cli import EXIT_PHYSICS, run
-from parabolic_mr.core import _hermite_normalized
+from parabolic_mr.core import _hermite_normalized, _square
 
 ELECTRON_GAMMA = -1.76085963e11
 
@@ -83,6 +85,33 @@ class TestDomainTypes:
             energy_level(system, field, 1.5, 0)
         with pytest.raises(ValueError):
             energy_level(system, field, 0.5, 0)  # S - M not an integer
+
+
+class TestSquare:
+    def test_past_the_doubles_is_inf_without_exception_or_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _square(1e200) == _square(-1e200) == math.inf
+            assert _square(np.array([[3.0, -1e200], [1e300, 2.0]])).tolist() == [
+                [9.0, math.inf], [math.inf, 4.0]
+            ]
+
+    def test_arrays_square_like_python_floats(self):
+        # negative values, and values whose squares are subnormal (below
+        # 2**-1022) or round to zero, square as Python's ** squares them
+        rng = np.random.default_rng(12)
+        magnitudes = np.concatenate([
+            10.0 ** rng.uniform(-150.0, 150.0, 20000),
+            10.0 ** rng.uniform(-170.0, -154.0, 20000),
+        ])
+        values = magnitudes * rng.choice((-1.0, 1.0), magnitudes.size)
+        want = np.array([v**2 for v in values.tolist()])
+        got = _square(values.reshape(200, 200))
+        assert got.shape == (200, 200)
+        assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+        assert ((0.0 < want) & (want < sys.float_info.min)).sum() > 1000
+        assert (values * values != want).sum() > 10  # x*x would not do
+        assert [_square(v) for v in values[:100].tolist()] == want[:100].tolist()
 
 
 class TestHermite:

@@ -18,6 +18,7 @@ from parabolic_mr import (
     auto_grid,
     build_sector_hamiltonian,
     converged_spectrum,
+    crossing_scan,
     effective_frequency,
     eigenfunction,
     eigenfunction_center,
@@ -30,7 +31,7 @@ from parabolic_mr import (
     validate_levels,
 )
 from parabolic_mr import core, oracle
-from parabolic_mr.cli import run
+from parabolic_mr.cli import figure1_scenario, run
 from parabolic_mr.oracle import lowest_eigenvalues
 
 
@@ -498,3 +499,99 @@ def test_meshing_hints_change_cost_not_answers(monkeypatch, bound_fraction):
             for m, want in expected.items():
                 got, _ = converged_spectrum(system, field, m, 5, tol)
                 assert np.all(np.abs(got - want) <= tol * np.abs(want)), (shift, factor, m)
+
+
+#: Crossing check: the oracle's E_a - E_b at a crossing is within
+#: CROSSING_TOL of the larger of hbar*omega and |E_a| (a converged crossing
+#: stops at 1e-10 of its level energy, which near dissociation exceeds
+#: hbar*omega many times), and changes sign over gbar +- delta, where the
+#: oracle's slope puts 10 times that bound at delta.  The oracle solves to
+#: 1e-10, so its own error stays far inside both.
+CROSSING_TOL = 1e-8
+
+
+def crossing_scans(rng, count):
+    """(system, field, gbar_range, levels, steps) of seeded crossing scans:
+    the scenario kinds of ``test_bit_identity`` in turn (random traps, b0 = g
+    = 0 at the trap minimum over a symmetric range, gamma = 0 and a unit
+    system), each scanned up to 0.999 of the dissociation bound.  Every
+    eighth scan instead centres a random trap in a field without gradient
+    (the oracle's grid cannot follow a sector centre that runs off as 1/(1 -
+    mbar)), sets b0 so that the adverse sector crosses its neighbour at mbar
+    between 0.99 and 0.999, and scans just that pair near the bound."""
+    for k in range(count):
+        kind = k % 4
+        system, field, _ = random_stable_scenario(
+            rng, zero_b0=bool(k % 2), spin_choices=(0.5, 1.0, 1.5, 2.0, 2.5)
+        )
+        if kind == 1:
+            system, field = replace(system, offset=0.0), replace(field, b0=0.0, g=0.0)
+        elif kind == 2:  # parallel or coincident levels: no crossing to check
+            system = replace(system, gamma=0.0)
+        elif kind == 3:
+            system = SpinSystem(mass=1.0, gamma=1.0, spin=system.spin, omega=1.0)
+            field = ZERO_FIELD
+        n_max = int(rng.integers(0, 4))
+        levels = [(m, n) for m in system.levels() for n in range(n_max + 1)]
+        rng.shuffle(levels)
+        steps = int(2 ** rng.uniform(4.0, 8.0))
+        crit = gbar_critical(system) if system.gamma else abs(field.gbar)
+        g_lo, g_hi = sorted(0.999 * crit * rng.uniform(-1.0, 1.0, 2))
+        if k % 8 == 4:
+            up = math.copysign(1.0, system.gamma)  # gbar > 0 unbinds M = up * S first
+            levels = [(up * system.spin, int(rng.integers(4))), (up * (system.spin - 1.0), 0)]
+            system = replace(system, offset=0.0)
+            at = FieldProfile(0.0, 0.0, rng.uniform(0.99, 0.999) * crit)
+            gap = energy_level(system, at, *levels[0]) - energy_level(system, at, *levels[1])
+            field = FieldProfile(gap / (system.gamma * HBAR * up), 0.0, 0.0)
+            g_lo, g_hi = 0.98 * crit, 0.9995 * crit
+        if kind in (1, 3):  # gbar = 0, where equal-n levels meet, on the grid
+            g_hi = max(-g_lo, g_hi)
+            g_lo, steps = -g_hi, 2 * (steps // 2)
+        yield system, field, (g_lo, g_hi), levels[:10], steps
+
+
+def oracle_gap(system, field, gbar, level_a, level_b):
+    """E_a - E_b from the grid oracle at ``gbar``, with |E_a|."""
+    at = replace(field, gbar=gbar)
+    (ma, na), (mb, nb) = level_a, level_b
+    e_a = converged_spectrum(system, at, ma, na + 1, 1e-10)[0][na]
+    e_b = converged_spectrum(system, at, mb, nb + 1, 1e-10)[0][nb]
+    return float(e_a - e_b), abs(float(e_a))
+
+
+def assert_oracle_crossing(system, field, crossing, g_scale):
+    def gap_at(offset):
+        gbar = crossing.gbar + offset
+        return oracle_gap(system, field, gbar, crossing.level_a, crossing.level_b)
+
+    gap, e_a = gap_at(0.0)
+    bound = CROSSING_TOL * max(HBAR * system.omega, e_a)
+    assert abs(gap) <= bound, crossing
+    step = 1e-6 * g_scale
+    delta = 10.0 * bound * step / abs(gap_at(step)[0] - gap)
+    assert gap_at(-delta)[0] * gap_at(delta)[0] < 0.0, crossing
+
+
+def test_crossings_agree_with_the_oracle():
+    # one seeded crossing of each of 200 scans, and every crossing of the
+    # figure-1 scan, is a sign change of the oracle's own E_a - E_b
+    rng = np.random.default_rng(31)
+    checked = []
+    for system, field, gbar_range, levels, steps in crossing_scans(rng, 200):
+        found = [c for c in crossing_scan(system, field, gbar_range, levels, steps).crossings
+                 if c.converged]
+        if found:
+            crossing = found[int(rng.integers(len(found)))]
+            assert_oracle_crossing(system, field, crossing, max(map(abs, gbar_range)))
+            checked.append(max(scaled_spin_number(system, replace(field, gbar=crossing.gbar), m)
+                               for m in (crossing.level_a[0], crossing.level_b[0])))
+    assert len(checked) >= 100 and sum(mbar > 0.99 for mbar in checked) >= 20
+
+    scenario = figure1_scenario()
+    result = crossing_scan(scenario.system, scenario.field,
+                           (scenario.gbar_min, scenario.gbar_max), scenario.all_levels(),
+                           scenario.scan_steps)
+    assert len(result.crossings) == 39
+    for crossing in result.crossings:
+        assert_oracle_crossing(scenario.system, scenario.field, crossing, scenario.gbar_max)

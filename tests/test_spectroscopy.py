@@ -438,3 +438,33 @@ class TestIdentifyFrequency:
         for points in (0, 1, 2):  # the coarse scan needs an interior point
             with pytest.raises(ValueError, match="scan_points"):
                 identify_frequency([1.0], system, field, 0, (1e4, 1e6), scan_points=points)
+
+    @pytest.mark.parametrize("gbar, bracket", [
+        (40.0, (1e-300, 1e300)),  # the floor clips the low end; 1e300 squares past the doubles
+        (40.0, (5e4, 1e300)),
+        (0.0, (1e-300, 6e5)),  # unclipped: mass * 1e-300**2 underflows to zero
+    ])
+    def test_bracket_end_past_the_doubles_is_named(self, gbar, bracket):
+        # the README quickstart trap; the refusal names the bracket, not a system
+        system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+        field = FieldProfile(0.0, 0.002, gbar)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 1)]
+        with pytest.raises(ValueError, match=r"^bracket ends must keep mass\*omega\*\*2"):
+            identify_frequency(lines, replace(system, omega=1.0), field, 1, bracket)
+
+    @pytest.mark.parametrize("factor", [1e200, math.inf, math.nan])
+    def test_refinement_residual_past_the_doubles_raises_like_the_scan(self, monkeypatch, factor):
+        # the coarse scan stays finite while every golden-section step's line
+        # energies overflow, are infinite or are nan: the step's residual ends
+        # in the coarse scan's ValueError, not OverflowError or a result
+        system, field = build_scenario(1e-26, 2e5, 6e10, 1.5, 0.3, 0.5, 0.7, 0.0)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 1)]
+        kernel = spectroscopy._pair_delta_e
+
+        def scalar_steps_off(candidate, *args):
+            de = kernel(candidate, *args)
+            return de if isinstance(candidate.omega, np.ndarray) else de * factor
+
+        monkeypatch.setattr(spectroscopy, "_pair_delta_e", scalar_steps_off)
+        with pytest.raises(ValueError, match="line misfit past double precision"):
+            identify_frequency(lines, replace(system, omega=1.0), field, 1, (1e5, 6e5))

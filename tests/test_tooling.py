@@ -1,8 +1,9 @@
 """Repository-level checks: the runtime dependency set, the public surface,
 where dissociation is decided and mbar derived, what the oracle imports, the
 argument checks of a crossing scan, the one line misfit of the inversion, the
-CLI's one writer and one error line, the README's config-key table, the
-module entry point, the demo scripts and the benchmark harness and tracer."""
+one scan grid and one squaring, the CLI's one writer and one error line, the
+README's config-key table, the module entry point, the demo scripts and the
+benchmark harness and tracer."""
 
 import ast
 import glob
@@ -155,6 +156,49 @@ def test_inversion_has_one_line_misfit():
     assert [name for name, top in tops.items() if "_square" in called(top)] == ["_misfits"]
 
 
+def test_scan_conventions_are_written_once():
+    # the crossing scan, the inversion's coarse scan and the figure-1 level
+    # table take their points from one grid helper, and no other function
+    # builds a grid over a range; core._square squares an array without a
+    # Python loop and saturates to inf itself, so no caller catches its
+    # OverflowError (cli._number's float() of a huge integer is the other)
+    trees = _module_trees()
+
+    def tops():
+        return [(module, top) for module, tree in trees.items()
+                for top in tree.body if isinstance(top, ast.FunctionDef)]
+
+    def names(nodes):
+        return {getattr(n.func, "id", getattr(n.func, "attr", None))
+                for n in nodes if isinstance(n, ast.Call)}
+
+    callers = sorted((module, top.name) for module, top in tops()
+                     if "_scan_grid" in names(ast.walk(top)))
+    assert callers == [
+        ("cli", "_cmd_figure1"), ("spectroscopy", "crossing_scan"),
+        ("spectroscopy", "identify_frequency"),
+    ]
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    grids = [
+        (module, top.name) for module, top in tops() for node in ast.walk(top)
+        if isinstance(node, comprehensions)
+        and any(isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "range"
+                for gen in node.generators)
+        and any(isinstance(part, ast.Div) for part in ast.walk(node))
+    ]
+    assert grids == [("spectroscopy", "_scan_grid")]
+    catching = sorted(
+        (module, top.name) for module, top in tops() for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "OverflowError" in ast.unparse(node.type)
+    )
+    assert catching == [("cli", "_number"), ("core", "_square")]
+    (square,) = [top for module, top in tops() if module == "core" and top.name == "_square"]
+    assert not [node for node in ast.walk(square)
+                if isinstance(node, (ast.For, ast.While) + comprehensions)]
+    assert "float_power" in names(ast.walk(square))
+
+
 def test_cli_has_one_writer_and_one_error_line():
     # every subcommand hands its files to one writer, which makes --out and
     # prints the one "wrote" line; run prints the only ERROR line, and a
@@ -292,15 +336,17 @@ def test_benchmark_tracer_bindings_resolve():
 
 
 def test_traced_benchmark_reports_every_layer():
-    # a smoke-size traced run of the validate and cli workloads reports every
-    # per-layer value as a finite number: no null, no NaN
+    # a traced run of the validate and cli workloads over the whole block of
+    # ops a traced benchmark run repeats (TRACE_OPS) reports every per-layer
+    # value as a finite number, no null or NaN, and prints nothing else
     script = (
         "import json, sys\n"
         "sys.path.insert(0, 'bench')\n"
         "import run\n"
         "for workload in ('validate', 'cli'):\n"
         "    result, _ = run.measure(workload, 0, 0.0, 1, import_probes=1,\n"
-        "                            trace_ops=run.SMOKE_OPS[workload])\n"
+        "                            trace_ops=run.TRACE_OPS[workload])\n"
+        "    assert result['attempted'] == run.TRACE_OPS[workload], result\n"
         "    print(json.dumps(result))\n"
     )
     proc = subprocess.run(
