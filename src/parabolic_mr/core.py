@@ -316,6 +316,12 @@ def gbar_critical(system: SpinSystem) -> float:
     return system.mass * system._omega_squared / (2.0 * abs(system.gamma) * HBAR * system.spin)
 
 
+def _omega_floor(system: SpinSystem, field: FieldProfile) -> float:
+    """sqrt(2*|gamma*gbar|*hbar*S/mass), the trap frequency below which a sector
+    dissociates at field.gbar: :func:`gbar_critical`'s bound solved for omega."""
+    return math.sqrt(2.0 * abs(system.gamma * field.gbar) * HBAR * system.spin / system.mass)
+
+
 def stability_check(system: SpinSystem, field: FieldProfile) -> DerivedParams:
     """Evaluate the dissociation bound at the worst spin projection.
 

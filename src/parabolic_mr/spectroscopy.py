@@ -11,13 +11,12 @@ besides avoiding cancellation error, this makes the homogeneous-field line
 set (g = gbar = 0) exactly independent of omega, bit for bit, which is the
 physical statement that a uniform field cannot reveal the trap frequency.
 
-Scans run as numpy array evaluations of the closed forms: a crossing scan
-evaluates each level pair over the whole gbar grid in one call and bisects
-all bracketed sign changes together, and the inversion's coarse omega scan
-evaluates every scan point's line energies at once; ``_misfits`` fits them,
-and each golden-section step's, to the measured lines.  Arguments are checked
-once per scan or line list, bisection evaluates energies only for closing
-brackets, and each array element is bit-identical to the scalar evaluation.
+Scans evaluate the closed forms over numpy arrays, each level's sector once:
+a crossing scan's level pairs are the rows of pair-grid blocks, and its
+bisections and the inversion's golden-section searches run in rounds of one
+kernel call over the steps each predicts, keeping the scalar searches' points
+and comparisons.  Arguments are checked once per scan or line list, and each
+array element is bit-identical to the scalar evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .core import (
     _gradient_at_offset,
     _field_at_offset,
     _mbar,
+    _omega_floor,
     _projection,
     _require_all_bound,
     _require_int,
@@ -58,9 +58,21 @@ MAX_LINES = 2**18
 #: 2**24 take about 1 s and 130 MB, and the largest config would ask for 4e16.
 MAX_SCAN_EVALUATIONS = 2**24
 
+#: Most pair-grid points one kernel call of a ``crossing_scan`` evaluates, in
+#: whole pair rows; 2**13 (64 KB arrays) beat 2**12, 2**14 and 2**16.
+SCAN_BLOCK_POINTS = 2**13
+
 #: Bisection steps per bracketed crossing; a bracket still open after them is
 #: reported at its midpoint with ``converged=False``.
 MAX_BISECTION_STEPS = 200
+
+#: Bisection steps one round predicts per bracket; a guess from three grid
+#: points holds for a median 15 steps of the benchmark's scans.
+BISECTION_ROUND_STEPS = 20
+
+#: Golden-section steps k one round covers; a basin adds the 2**k - 1 points
+#: they may need as rows (k = 4 beat 2, 3 and 5).
+GOLDEN_ROUND_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -109,25 +121,28 @@ class InversionResult:
     reason: str | None = None
 
 
-def _pair_delta_e(
-    system: SpinSystem,
-    field: FieldProfile,
-    level_a: tuple[float, int],
-    level_b: tuple[float, int],
-) -> float:
+def _pair_delta_e(system: SpinSystem, field: FieldProfile, level_a, level_b) -> float:
     """Signed E_a - E_b, with the common Zeeman and shift factors cancelled, of
-    levels whose M are already checked projections.  Like :func:`energy_level`,
-    it broadcasts when system.omega, field.gbar or a level's M and n are arrays.
-    """
-    (ma, na), (mb, nb) = level_a, level_b
-    _, ra = _sector(system, field, ma)
-    _, rb = _sector(system, field, mb)
-    osc = HBAR * system.omega * ((na + 0.5) * ra - (nb + 0.5) * rb)
+    levels (M, n) with checked M; like :func:`energy_level`, it broadcasts."""
+    parts = _level_parts(system, field, level_a), _level_parts(system, field, level_b)
+    return _pair_from_parts(system, field, *parts)
+
+
+def _level_parts(system: SpinSystem, field: FieldProfile, level):
+    """(M, (n + 1/2) sqrt(1 - mbar), M^2 / (1 - mbar)): a level's share of a pair."""
+    m, n = level
+    _, root = _sector(system, field, m)
+    return m, (n + 0.5) * root, m * m / (root * root)
+
+
+def _pair_from_parts(system: SpinSystem, field: FieldProfile, parts_a, parts_b) -> float:
+    """E_a - E_b from the :func:`_level_parts` of the two levels."""
+    (ma, osc_a, shift_a), (mb, osc_b, shift_b) = parts_a, parts_b
+    osc = HBAR * system.omega * (osc_a - osc_b)
     zeeman = system.gamma * _field_at_offset(system, field) * HBAR * (ma - mb)
     slope = system.gamma * _gradient_at_offset(system, field)
     shift_scale = slope * slope * HBAR * HBAR / (2.0 * system.mass * system._omega_squared)
-    shift = shift_scale * (ma * ma / (ra * ra) - mb * mb / (rb * rb))
-    return osc - zeeman - shift
+    return osc - zeeman - shift_scale * (shift_a - shift_b)
 
 
 def _make_line(
@@ -237,12 +252,12 @@ def crossing_scan(
     degenerate over the whole scan are reported separately, as are |delta E|
     dips without a sign flip (possible tangencies).
 
-    The levels are checked once per scan, then the grid is evaluated as
-    arrays, one (pairs x grid) block per first level of a pair, so memory
-    stays O(levels x steps); more than ``MAX_SCAN_EVALUATIONS`` pair-grid
-    points raise ``ValueError`` before any is evaluated.  Every crossing,
-    grid zeros too, closes in :func:`_bisect_crossings`, bit-identical to the
-    scalar calls; a frozen or step-capped one has ``converged=False``.
+    The levels are checked once per scan.  The pairs, in (i, j) order, are
+    the rows of blocks of at most ``SCAN_BLOCK_POINTS`` points, one kernel
+    call each; more than ``MAX_SCAN_EVALUATIONS`` raise ``ValueError`` before
+    any is evaluated.  Every crossing, grid zeros too, closes in the rounds of
+    :func:`_bisect_crossings`, bit-identical to the scalar calls; a frozen or
+    step-capped one has ``converged=False``.
     """
     levels = list(levels)
     if not levels:
@@ -274,106 +289,133 @@ def crossing_scan(
         raise DissociationError("scan range entirely dissociated for the requested levels")
 
     gs = _scan_grid(g_lo, g_hi, steps)
+    g = np.array(gs)
     g_scale = max(abs(g_lo), abs(g_hi))
-    grid = replace(field_base, gbar=np.array(gs))
+    grid = replace(field_base, gbar=g)
     e_abs = np.abs(energy_level(system, replace(field_base, gbar=gs[0]), ms, ns))
 
-    degenerate = []
-    tangencies = []
-    brackets = []  # (first level, second level, a, b, d(a) > 0); a == b at a grid zero
-    for i in range(len(level_list) - 1):
-        js = np.arange(i + 1, len(level_list))
-        pairs = [(level_list[i], level_list[j]) for j in js.tolist()]
-        ds = _pair_delta_e(system, grid, level_list[i], (ms[js, None], ns[js, None]))
+    first, second = np.triu_indices(len(level_list), 1)  # the pairs in (i, j) order
+    pairs = [(level_list[i], level_list[j]) for i, j in zip(first.tolist(), second.tolist())]
+    parts = _level_parts(system, grid, (ms[:, None], ns[:, None]))
+    degenerate, tangencies = [], []
+    brackets = []  # per block: pairs, a, b, d(a), d(b), guessed root; a == b at a grid zero
+    block = max(1, SCAN_BLOCK_POINTS // (steps + 1))
+    for start in range(0, len(pairs), block):
+        rows_i, rows_j = first[start:start + block], second[start:start + block]
+        ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (rows_i, rows_j)))
         if not np.isfinite(ds).all():
             raise ValueError("level energy differences past double precision on the gbar range")
-        zero = ds == 0.0
-        d_a, d_b, zero_a, zero_b = ds[:, :-1], ds[:, 1:], zero[:, :-1], zero[:, 1:]
-        live = ~zero_a & ~zero_b
-        flips = live & ((d_a > 0.0) != (d_b > 0.0))
+        zero, positive = ds == 0.0, ds > 0.0
+        flips = positive[:, :-1] != positive[:, 1:]
         # tangency candidates: |d| dips to a local minimum below
         # TANGENCY_FRACTION of the level scale without changing sign
         abs_ds = np.abs(ds)
-        e_scale = np.maximum(e_abs[i], e_abs[js])
-        dips = (
-            live
-            & ~flips
-            & (np.minimum(abs_ds[:, :-1], abs_ds[:, 1:]) < TANGENCY_FRACTION * e_scale[:, None])
-        )
-        dips[:, 1:] &= (abs_ds[:, 1:-1] <= abs_ds[:, :-2]) & (abs_ds[:, 1:-1] <= abs_ds[:, 2:])
-        dips[:, [0, -1]] = False  # the end intervals lack a neighbour
-        # a pair lands on zero at the first point or from a nonzero neighbour;
-        # one that is zero everywhere is degenerate
-        degenerate_rows = zero.all(axis=1)
-        landed = zero & ~degenerate_rows[:, None]
-        landed[:, 1:] &= ~zero_a
-        degenerate.extend(pairs[row] for row in np.flatnonzero(degenerate_rows))
-        tangencies.extend((gs[idx], pairs[row]) for row, idx in zip(*np.nonzero(dips)))
-        brackets.extend(
-            (i, i + 1 + row, gs[idx], gs[idx], False) for row, idx in zip(*np.nonzero(landed))
-        )
-        brackets.extend(
-            (i, i + 1 + row, gs[idx], gs[idx + 1], ds[row, idx] > 0.0)
-            for row, idx in zip(*np.nonzero(flips))
-        )
+        small = abs_ds < TANGENCY_FRACTION * np.maximum(e_abs[rows_i], e_abs[rows_j])[:, None]
+        dips = ~flips & (small[:, :-1] | small[:, 1:])
+        rows, lo = np.nonzero(flips)  # refined below where the grid holds a zero
+        hi = lo + 1
+        if zero.any():  # a zero difference neither flips nor dips
+            zero_a = zero[:, :-1]
+            live = ~(zero_a | zero[:, 1:])
+            flips, dips = flips & live, dips & live
+            rows, lo = np.nonzero(flips)
+            # a pair lands on zero at the first point or from a nonzero
+            # neighbour; one that is zero everywhere is degenerate
+            degenerate_rows = zero.all(axis=1)
+            landed = zero & ~degenerate_rows[:, None]
+            landed[:, 1:] &= ~zero_a
+            degenerate += [pairs[start + row] for row in np.flatnonzero(degenerate_rows)]
+            rows_l, at = np.nonzero(landed)
+            rows, lo, hi = (np.concatenate(c) for c in ([rows_l, rows], [at, lo], [at, lo + 1]))
+        if dips.any():
+            dips[:, 1:] &= (abs_ds[:, 1:-1] <= abs_ds[:, :-2]) & (abs_ds[:, 1:-1] <= abs_ds[:, 2:])
+            dips[:, [0, -1]] = False  # the end intervals lack a neighbour
+            tangencies += [(gs[idx], pairs[start + row]) for row, idx in zip(*np.nonzero(dips))]
+        far = np.where(lo > 0, lo - 1, hi + 1)  # a third grid point beside the bracket
+        x0, x1, x2 = g[lo], g[hi], g[far]
+        y0, y1, y2 = ds[rows, lo], ds[rows, hi], ds[rows, far]
+        # the root guessed by inverse quadratic interpolation (Brent, ch. 4);
+        # a grid zero or a flat triple guesses nan or inf
+        with np.errstate(all="ignore"):
+            guess = x0 * y1 * y2 / ((y0 - y1) * (y0 - y2)) + x1 * y0 * y2 / (
+                (y1 - y0) * (y1 - y2)) + x2 * y0 * y1 / ((y2 - y0) * (y2 - y1))
+        brackets.append((start + rows, x0, x1, y0, y1, guess))
 
+    brackets = tuple(np.concatenate(column) for column in zip(*brackets))
     crossings = []
-    if brackets:
-        crossings = _bisect_crossings(system, field_base, level_list, ms, ns, brackets, g_scale)
+    if brackets and len(brackets[0]):
+        pair_levels = ms[first], ns[first], ms[second], ns[second]
+        crossings = _bisect_crossings(system, field_base, pairs, pair_levels, brackets, g_scale)
     crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
     return CrossingScanResult(tuple(crossings), tuple(degenerate), tuple(tangencies))
 
 
 def _bisect_crossings(
-    system: SpinSystem,
-    field_base: FieldProfile,
-    level_list: list[tuple[float, int]],
-    ms: np.ndarray,
-    ns: np.ndarray,
-    brackets: list[tuple[int, int, float, float, bool]],
-    g_scale: float,
+    system: SpinSystem, field_base: FieldProfile, pairs, levels, brackets, g_scale: float
 ) -> list[CrossingPoint]:
-    """Bisect every bracketed crossing of a scan at once.
-
-    ``brackets`` holds (first level, second level, a, b, E_first - E_second
-    > 0 at a), the levels as indices into ``level_list`` and its M and n
-    arrays ``ms`` and ``ns``, all checked by the scan.  Each step evaluates all
-    open midpoints as one array, exactly as scalar bisections would, and then
-    the energies of the tested brackets: those within width 1e-10 * max(|a|,
-    |b|, g_scale) or at a zero difference, and all on the step after
-    ``MAX_BISECTION_STEPS``.  A tested bracket closes at its midpoint when it
-    converged (|E_a - E_b| <= 1e-10 * max(|E_a|, |E_b|) within the width, or
-    a zero difference), when it froze (its midpoint is an end: no double lies
-    between them), or on that last step; only the first has ``converged=True``.
-    """
-    first, second, a, b, positive = (np.array(column) for column in zip(*brackets))
-    m_a, n_a, m_b, n_b = ms[first], ns[first], ms[second], ns[second]
+    """Bisect the columns (pair, a, b, d(a), d(b), guessed root) of
+    ``brackets``, d = E_a - E_b, of ``pairs`` with (M, n, M, n) arrays
+    ``levels``, in rounds of the scalar bisection's steps: d at ``0.5 * (a +
+    b)`` picks the half keeping the sign change; a step within width 1e-10 *
+    max(|a|, |b|, g_scale), at d = 0, or after ``MAX_BISECTION_STEPS`` compares
+    energies and closes if converged (|E_a - E_b| <= 1e-10 * max(|E_a|, |E_b|)
+    within the width, or d = 0), frozen (no double between a and b) or last;
+    only the first has ``converged=True``.  A round predicts each bracket's
+    next ``BISECTION_ROUND_STEPS`` midpoints toward its guess, evaluates them
+    in one pair-kernel call and its tested steps in one ``energy_level`` pair,
+    and keeps the prefix up to the first wrong guess; the next guess is the
+    false-position root at the ends after it."""
+    pair, a, b, d_a, d_b, guess = brackets
+    positive = d_a > 0.0  # d keeps this sign at a
+    m_a, n_a, m_b, n_b = (column[pair] for column in levels)
+    taken = np.zeros(len(a), dtype=int)  # steps each bracket has taken
     found = []
-    for step in range(MAX_BISECTION_STEPS + 1):
-        mid, width = 0.5 * (a + b), b - a
-        frozen = (mid == a) | (mid == b)
+    for _ in range(MAX_BISECTION_STEPS + 1):  # a round takes at least one step
+        ends_a, ends_b = [a], [b]
+        for _ in range(BISECTION_ROUND_STEPS - 1):
+            mid = 0.5 * (ends_a[-1] + ends_b[-1])
+            ahead = mid < guess
+            ends_a.append(np.where(ahead, mid, ends_a[-1]))
+            ends_b.append(np.where(ahead, ends_b[-1], mid))
+        path_a, path_b = np.array(ends_a), np.array(ends_b)
+        mid, width = 0.5 * (path_a + path_b), path_b - path_a
         fm = _pair_delta_e(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
-        width_ok = width <= 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), g_scale)
-        right = (fm > 0.0) == positive  # the sign change lies right of mid; d keeps its sign at a
-        a, b = np.where(right, mid, a), np.where(right, b, mid)
-        last = step == MAX_BISECTION_STEPS
-        tested = np.flatnonzero(width_ok | (fm == 0.0) | last)
-        if not len(tested):
-            continue
-        field = replace(field_base, gbar=mid[tested])
-        e_a = energy_level(system, field, m_a[tested], n_a[tested])
-        e_b = energy_level(system, field, m_b[tested], n_b[tested])
-        energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
-        converged = (width_ok[tested] & energy_ok) | (fm[tested] == 0.0)
-        closing = converged | frozen[tested] | last
-        closed = tested[closing]
-        for k, e, ok in zip(closed.tolist(), e_a[closing].tolist(), converged[closing].tolist()):
-            pair = level_list[first[k]], level_list[second[k]]
-            found.append(CrossingPoint(float(mid[k]), *pair, e, float(width[k]), ok))
-        keep = np.ones(len(a), dtype=bool)
-        keep[closed] = False
-        a, b, positive, first, second, m_a, n_a, m_b, n_b = (
-            column[keep] for column in (a, b, positive, first, second, m_a, n_a, m_b, n_b)
+        step = np.arange(BISECTION_ROUND_STEPS)[:, None]
+        last = taken + step == MAX_BISECTION_STEPS
+        right = (fm > 0.0) == positive  # the sign change lies right of mid
+        # a bracket stops at its first wrong guess, or at its round's or its own last step
+        final = np.minimum(BISECTION_ROUND_STEPS - 1, MAX_BISECTION_STEPS - taken)
+        stop = ((right != (mid < guess)) | (step == final)).argmax(axis=0)
+        width_ok = width <= 1e-10 * np.maximum(np.maximum(np.abs(path_a), np.abs(path_b)), g_scale)
+        steps, cols = np.nonzero((step <= stop) & (width_ok | (fm == 0.0) | last))
+        shut = np.full(len(a), BISECTION_ROUND_STEPS)  # the step each bracket closes at
+        if len(cols):
+            field = replace(field_base, gbar=mid[steps, cols])
+            e_a = energy_level(system, field, m_a[cols], n_a[cols])
+            e_b = energy_level(system, field, m_b[cols], n_b[cols])
+            energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
+            converged = (width_ok[steps, cols] & energy_ok) | (fm[steps, cols] == 0.0)
+            frozen = (mid == path_a) | (mid == path_b)
+            closing = np.flatnonzero(converged | frozen[steps, cols] | last[steps, cols])
+            np.minimum.at(shut, cols[closing], steps[closing])  # its first closing step
+            closing = closing[steps[closing] == shut[cols[closing]]]
+            k, col = steps[closing], cols[closing]
+            found += [CrossingPoint(gbar, *pairs[p], e, w, ok) for gbar, p, e, w, ok in zip(
+                mid[k, col].tolist(), pair[col].tolist(), e_a[closing].tolist(),
+                width[k, col].tolist(), converged[closing].tolist(),
+            )]
+        # an end after the stop step is the midpoint of the last step that moved it
+        every = np.arange(len(a))
+        to_a = np.maximum.accumulate(np.where(right, step, -1))[stop, every]
+        to_b = np.maximum.accumulate(np.where(right, -1, step))[stop, every]
+        a, d_a = np.where(to_a < 0, a, mid[to_a, every]), np.where(to_a < 0, d_a, fm[to_a, every])
+        b, d_b = np.where(to_b < 0, b, mid[to_b, every]), np.where(to_b < 0, d_b, fm[to_b, every])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = a - d_a * (b - a) / (d_b - d_a)
+        open_ = shut == BISECTION_ROUND_STEPS
+        pair, a, b, d_a, d_b, guess, positive, m_a, n_a, m_b, n_b, taken = (
+            column[open_] for column in
+            (pair, a, b, d_a, d_b, guess, positive, m_a, n_a, m_b, n_b, taken + stop + 1)
         )
         if not len(a):
             break
@@ -383,21 +425,31 @@ def _bisect_crossings(
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> float:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _golden_children(a, b, c, d):
+    """The golden-section states after a step toward c (a new c) and toward d."""
+    return (a, d, d - _INV_PHI * (d - a), c), (c, b, d, c + _INV_PHI * (b - c))
+
+
+def _golden_round(a, b, c, d, known: dict, steps: int):
+    """One golden-section round (to relative width 1e-10): the scalar search's
+    steps from (a, b, c, d) while ``known`` holds the residuals at c and d, then
+    that state and the points ``known`` lacks that its next ``steps`` steps may
+    evaluate: c or d if new, each outcome's next point, and the midpoint it
+    returns once narrow; none once the search is done."""
+    while c in known and d in known and (b - a) > 1e-10 * max(abs(a), abs(b)):
+        a, b, c, d = _golden_children(a, b, c, d)[known[c] > known[d]]
+    states, points = [(a, b, c, d)], [x for x in (c, d) if x not in known]
+    for depth in range(steps if points else 1):
+        grown = []
+        for a_, b_, c_, d_ in states:
+            if not (b_ - a_) > 1e-10 * max(abs(a_), abs(b_)):
+                points.append(0.5 * (a_ + b_))
+            elif depth < steps - 1:
+                left, right = _golden_children(a_, b_, c_, d_)
+                grown += [left, right]
+                points += [left[2], right[3]]
+        states = grown
+    return (a, b, c, d), [x for x in points if x not in known]
 
 
 def _misfits(delta_e: np.ndarray, measured: list[float]) -> np.ndarray:
@@ -411,7 +463,7 @@ def _misfits(delta_e: np.ndarray, measured: list[float]) -> np.ndarray:
     along ``cumsum``.  A misfit that is not finite raises ``ValueError``.
     """
     model = np.sort(np.abs(delta_e) / (TWO_PI * HBAR), axis=1)
-    y = np.array(measured)
+    y = np.asarray(measured)
     paired = model.shape[1] == len(measured)
     sq = _square(model - y) if paired else _square(model[:, :, None] - y).min(axis=1)
     misfits = np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
@@ -438,9 +490,10 @@ def identify_frequency(
     2S-line set is given, otherwise to the nearest model line) is minimized
     by a coarse scan followed by golden-section refinement to relative 1e-10.
     The coarse scan evaluates all ``scan_points`` x 2S line energies in one
-    array call of the pair kernel; each refinement step makes 2S scalar calls
-    at its omega.  Both pass their line energies to :func:`_misfits`, so a
-    step's residual equals, bit for bit, the scan's at the same omega.
+    array call of the pair kernel; in each refinement round, the up to three
+    basins add the points their next ``GOLDEN_ROUND_STEPS`` steps may need
+    (:func:`_golden_round`) as the rows of one such call.  Both fit through
+    :func:`_misfits`, so a residual is, bit for bit, a one-row call's.
 
     With g = gbar = 0 the line set carries no frequency information and the
     result comes back with ``identifiable=False`` ("homogeneous field"); the
@@ -448,8 +501,8 @@ def identify_frequency(
     variation below 1e-12).  A residual minimum on the bracket edge raises
     :class:`InversionError`, and a misfit or bracket end past the doubles ``ValueError``.
     """
-    measured = sorted(float(v) for v in lines_hz)
-    if not measured:
+    measured = np.array(sorted(float(v) for v in lines_hz))
+    if not len(measured):
         raise ValueError("at least one measured line is required")
     if system_template.spin == 0.0:
         raise ValueError("spin 0 has no adjacent-M lines to fit")
@@ -466,31 +519,26 @@ def identify_frequency(
         )
 
     # clip the bracket to frequencies at which every sector stays bound
-    if field.gbar != 0.0:
-        omega_floor = math.sqrt(
-            2.0 * abs(system_template.gamma * field.gbar) * HBAR * system_template.spin
-            / system_template.mass
-        )
-        lo = max(lo, omega_floor * (1.0 + 1e-9))
-        if not (lo < hi):
-            raise InversionError("bracket does not contain optimum: entire bracket dissociated")
+    lo = max(lo, _omega_floor(system_template, field) * (1.0 + 1e-9))
+    if not (lo < hi):
+        raise InversionError("bracket does not contain optimum: entire bracket dissociated")
 
-    # level n's adjacent-M pairs, upper level first, as transition_lines pairs them
-    ladder = system_template.levels()
-    pairs = [((a, n), (b, n)) for a, b in zip(ladder[1:], ladder)]
+    levels = np.array(system_template.levels())
 
-    def residual(omega: float) -> float:
-        candidate = replace(system_template, omega=omega)
-        row = [_pair_delta_e(candidate, field, a, b) for a, b in pairs]
-        return float(_misfits(np.array([row]), measured)[0])
+    def misfits(omegas: list[float]) -> list[float]:
+        # at each omega, of level n's adjacent-M lines, the upper level first
+        # as transition_lines pairs them
+        try:
+            system = replace(system_template, omega=np.array(omegas)[:, None])
+        except ValueError:  # the template is valid, so only omega can be refused
+            message = "bracket ends must keep mass*omega**2 a positive finite double"
+            raise ValueError(message) from None
+        m, osc, shift = _level_parts(system, field, (levels, n))
+        upper, lower = (m[1:], osc[:, 1:], shift[:, 1:]), (m[:-1], osc[:, :-1], shift[:, :-1])
+        return _misfits(_pair_from_parts(system, field, upper, lower), measured).tolist()
 
     xs = _scan_grid(lo, hi, scan_points - 1)
-    try:
-        scan = replace(system_template, omega=np.array(xs)[:, None])
-    except ValueError:  # the template is valid, so only omega can be refused
-        raise ValueError("bracket ends must keep mass*omega**2 a positive finite double") from None
-    upper, lower = np.array(ladder[1:]), np.array(ladder[:-1])
-    fs = _misfits(_pair_delta_e(scan, field, (upper, n), (lower, n)), measured).tolist()
+    fs = misfits(xs)
     f_min, f_max = min(fs), max(fs)
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(
@@ -504,10 +552,15 @@ def identify_frequency(
 
     # refine the few deepest basins: a noiseless data set has an exactly-zero
     # residual at the true frequency, which beats any near-alias after refinement
-    estimate = rms = None
-    for i in basins[:3]:
-        candidate = _golden_minimize(residual, xs[i - 1], xs[i + 1], 1e-10)
-        value = residual(candidate)
-        if rms is None or value < rms:
-            estimate, rms = candidate, value
-    return InversionResult(estimate, rms, (lo, hi), True, None)
+    known = {}
+    states = [(xs[i - 1], xs[i + 1]) for i in basins[:3]]
+    states = [(a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)) for a, b in states]
+    while True:
+        states, new = zip(*(_golden_round(*state, known, GOLDEN_ROUND_STEPS) for state in states))
+        points = [x for points in new for x in points]
+        if not points:
+            break
+        known.update(zip(points, misfits(points)))
+    # the first of the lowest residuals, in basin order
+    a, b, _, _ = min(states, key=lambda state: known[0.5 * (state[0] + state[1])])
+    return InversionResult(0.5 * (a + b), known[0.5 * (a + b)], (lo, hi), True, None)

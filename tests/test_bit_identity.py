@@ -5,7 +5,8 @@ table evaluate ``energy_level`` and ``_pair_delta_e`` over numpy arrays, and
 crossing bisection and ``transition_lines`` call the pair kernel on
 arguments checked once.  These tests pin each array element to the scalar
 call on the same values, compared as raw float64 bits (so 0.0 and -0.0
-differ and NaN would show).
+differ and NaN would show), and the bisection and golden-section rounds,
+at their boundaries too, to the point-by-point searches.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from parabolic_mr import (
     crossing_scan,
     energy_level,
     gbar_critical,
+    identify_frequency,
     transition_lines,
 )
 from parabolic_mr import spectroscopy
@@ -157,22 +159,21 @@ def test_coarse_scan_residuals_match_scalar_residual():
 
 
 def scalar_bisection(system, field, level_a, level_b, lo, hi, f_lo, g_scale):
-    """One bracket bisected point by point, with crossing_scan's stop rule."""
-    for _ in range(spectroscopy.MAX_BISECTION_STEPS):
+    """One bracket bisected point by point, with crossing_scan's stop rule,
+    which the step after MAX_BISECTION_STEPS still applies to its flag."""
+    for step in range(spectroscopy.MAX_BISECTION_STEPS + 1):
         mid = 0.5 * (lo + hi)
         at_mid = replace(field, gbar=mid)
         f_mid = _pair_delta_e(system, at_mid, level_a, level_b)
         e_a, e_b = energy_level(system, at_mid, *level_a), energy_level(system, at_mid, *level_b)
         width_ok = hi - lo <= 1e-10 * max(abs(lo), abs(hi), g_scale)
-        if (width_ok and abs(e_a - e_b) <= 1e-10 * max(abs(e_a), abs(e_b))) or f_mid == 0.0:
-            return CrossingPoint(mid, level_a, level_b, e_a, hi - lo)
+        converged = (width_ok and abs(e_a - e_b) <= 1e-10 * max(abs(e_a), abs(e_b))) or f_mid == 0.0
+        if converged or step == spectroscopy.MAX_BISECTION_STEPS:
+            return CrossingPoint(mid, level_a, level_b, e_a, hi - lo, converged)
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    mid = 0.5 * (lo + hi)
-    e_a = energy_level(system, replace(field, gbar=mid), *level_a)
-    return CrossingPoint(mid, level_a, level_b, e_a, hi - lo, converged=False)
 
 
 def scalar_crossing_scan(system, field, g_lo, g_hi, levels, steps):
@@ -303,6 +304,115 @@ def test_crossing_scans_and_lines_match_scalar_calls(monkeypatch):
     assert crossing_fields(got.crossings) == crossing_fields(want)
     assert list(got.degenerate_pairs) == degenerate
     assert [c.converged for c in want].count(False) == 1
+
+
+def test_crossing_rounds_match_scalar_bisection_at_their_boundaries(monkeypatch):
+    # bisection caps that end brackets inside a round (1 and 7 steps in the
+    # first of 20, 33 in the second) and a grid cut into one pair row per
+    # kernel call leave every crossing bit-equal to the point-by-point scan
+    assert spectroscopy.BISECTION_ROUND_STEPS == 20
+    rng = np.random.default_rng(21)
+    scans = [crossing_scan_args(STEEP_CROSSINGS)]
+    while len(scans) < 5:
+        system, field, _ = random_stable_scenario(rng, spin_choices=(1.0, 1.5, 2.5))
+        levels = [(m, n) for m in system.levels() for n in range(3)]
+        rng.shuffle(levels)
+        g_lo, g_hi = sorted(0.95 * gbar_critical(system) * rng.uniform(-1.0, 1.0, 2))
+        scans.append((system, field, (g_lo, g_hi), levels[:8], int(2 ** rng.uniform(4.0, 7.0))))
+    found = 0
+    for cap, block in ((1, 2**13), (7, 2**13), (33, 2**13), (200, 1)):
+        monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", cap)
+        monkeypatch.setattr(spectroscopy, "SCAN_BLOCK_POINTS", block)
+        for system, field, (g_lo, g_hi), levels, steps in scans:
+            got = crossing_scan(system, field, (g_lo, g_hi), levels, steps)
+            want, degenerate, tangencies = scalar_crossing_scan(
+                system, field, g_lo, g_hi, levels, steps
+            )
+            assert crossing_fields(got.crossings) == crossing_fields(want)
+            assert list(got.degenerate_pairs) == degenerate
+            assert [(int(bits(g)), pair) for g, pair in got.tangency_candidates] == [
+                (int(bits(g)), pair) for g, pair in tangencies
+            ]
+            found += len(want)
+    assert found > 100
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_identify_frequency(lines, template, field, n, bracket, scan_points=512):
+    """identify_frequency one point at a time: the coarse scan and every
+    golden-section step each fit 2S scalar pair-kernel lines through
+    ``spectroscopy._misfits``.  Returns (omega, rms, the steps each refined
+    basin took, the ties fc == fd met)."""
+    measured = sorted(lines)
+    floor = math.sqrt(2.0 * abs(template.gamma * field.gbar) * HBAR * template.spin / template.mass)
+    lo, hi = max(bracket[0], floor * (1.0 + 1e-9)), bracket[1]
+    ladder = template.levels()
+
+    def residual(omega):
+        step = replace(template, omega=omega)
+        row = [_pair_delta_e(step, field, (a, n), (b, n)) for a, b in zip(ladder[1:], ladder)]
+        return float(spectroscopy._misfits(np.array([row]), measured)[0])
+
+    xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
+    fs = [residual(x) for x in xs]
+    basins = [i for i in range(1, len(xs) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
+    basins.sort(key=fs.__getitem__)
+    estimate = rms = None
+    steps, ties = [], 0
+    for i in basins[:3]:
+        a, b = xs[i - 1], xs[i + 1]
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        fc, fd = residual(c), residual(d)
+        steps.append(0)
+        while (b - a) > 1e-10 * max(abs(a), abs(b)):
+            steps[-1] += 1
+            ties += fc == fd
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - _INV_PHI * (b - a)
+                fc = residual(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INV_PHI * (b - a)
+                fd = residual(d)
+        value = residual(0.5 * (a + b))
+        if rms is None or value < rms:
+            estimate, rms = 0.5 * (a + b), value
+    return estimate, rms, steps, ties
+
+
+def test_golden_rounds_match_the_scalar_search(monkeypatch):
+    # rounds of 1 to 5 steps end their searches inside a round and at its
+    # end; misfits floored at a plateau make the comparisons meet exact ties
+    # fc == fd, which step toward c like the scalar loop
+    rng = np.random.default_rng(5)
+    misfits = spectroscopy._misfits
+    cases = []
+    for k in range(12):
+        system, field, _ = random_stable_scenario(rng)
+        n = int(rng.integers(0, 3))
+        lines = [l.frequency_hz for l in transition_lines(system, field, n)]
+        floor = 0.0 if k % 3 else 1e-4 * max(lines)
+        cases.append((lines, replace(system, omega=1.0), field, n,
+                       (system.omega / 2.0, system.omega * 2.0), floor))
+    ends, ties = set(), 0
+    for lines, template, field, n, bracket, floor in cases:
+        monkeypatch.setattr(
+            spectroscopy, "_misfits", lambda de, measured: np.maximum(misfits(de, measured), floor)
+        )
+        estimate, rms, steps, tied = scalar_identify_frequency(lines, template, field, n, bracket)
+        ties += tied
+        for depth in range(1, 6):
+            monkeypatch.setattr(spectroscopy, "GOLDEN_ROUND_STEPS", depth)
+            got = identify_frequency(lines, template, field, n, bracket)
+            assert bits([got.omega_estimate, got.residual_rms_hz]).tolist() == bits(
+                [estimate, rms]
+            ).tolist()
+            # the first round takes depth - 1 steps and every later one depth
+            ends.update((step - depth + 1) % depth == 0 for step in steps)
+    assert ends == {True, False} and ties > 20
 
 
 #: SHA-256 of the default ``figure1`` outputs.  The scans are pinned to the

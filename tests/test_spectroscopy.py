@@ -285,13 +285,13 @@ class TestCrossingScan:
 
     def test_steep_scan_stops_its_frozen_bracket_unconverged(self, monkeypatch):
         kernel_calls = []
-        kernel = spectroscopy._pair_delta_e
+        kernel = spectroscopy._pair_from_parts
 
         def counting(*args):
             kernel_calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(spectroscopy, "_pair_delta_e", counting)
+        monkeypatch.setattr(spectroscopy, "_pair_from_parts", counting)
         result = crossing_scan(*crossing_scan_args(STEEP_CROSSINGS))
         assert len(result.crossings) == 18
         assert [c for c in result.crossings if not c.converged] == [
@@ -301,9 +301,10 @@ class TestCrossingScan:
                 converged=False,
             )
         ]
-        # one grid block per first level of a pair (8), and 48 bisection steps:
-        # the bracket stops once it froze, not at MAX_BISECTION_STEPS
-        assert len(kernel_calls) == 8 + 48
+        # one grid block for all 36 pairs, and six bisection rounds: the
+        # bracket stops once it froze, after 48 steps, where the 201 steps of
+        # MAX_BISECTION_STEPS would take at least eleven rounds
+        assert len(kernel_calls) == 1 + 6
 
     def test_one_sided_bound_clips_only_that_side(self):
         # with gamma > 0, M = 0.5 and 1.5 unbind at positive gbar only: the
@@ -454,17 +455,21 @@ class TestIdentifyFrequency:
 
     @pytest.mark.parametrize("factor", [1e200, math.inf, math.nan])
     def test_refinement_residual_past_the_doubles_raises_like_the_scan(self, monkeypatch, factor):
-        # the coarse scan stays finite while every golden-section step's line
-        # energies overflow, are infinite or are nan: the step's residual ends
-        # in the coarse scan's ValueError, not OverflowError or a result
+        # the coarse scan stays finite while every golden-section round's line
+        # energies overflow, are infinite or are nan: the round's residuals end
+        # in the coarse scan's ValueError, not OverflowError or a result.  A
+        # round evaluates fewer rows than the scan's 512 points.
         system, field = build_scenario(1e-26, 2e5, 6e10, 1.5, 0.3, 0.5, 0.7, 0.0)
         lines = [l.frequency_hz for l in transition_lines(system, field, 1)]
-        kernel = spectroscopy._pair_delta_e
+        kernel = spectroscopy._pair_from_parts
+        rows = []
 
-        def scalar_steps_off(candidate, *args):
+        def golden_rounds_off(candidate, *args):
             de = kernel(candidate, *args)
-            return de if isinstance(candidate.omega, np.ndarray) else de * factor
+            rows.append(len(de))
+            return de if len(de) >= 512 else de * factor
 
-        monkeypatch.setattr(spectroscopy, "_pair_delta_e", scalar_steps_off)
+        monkeypatch.setattr(spectroscopy, "_pair_from_parts", golden_rounds_off)
         with pytest.raises(ValueError, match="line misfit past double precision"):
             identify_frequency(lines, replace(system, omega=1.0), field, 1, (1e5, 6e5))
+        assert rows[0] == 512 and 0 < rows[1] < 512  # the scan passed, the first round raised

@@ -1,9 +1,10 @@
 """Repository-level checks: the runtime dependency set, the public surface,
 where dissociation is decided and mbar derived, what the oracle imports, the
-argument checks of a crossing scan, the one line misfit of the inversion, the
-one scan grid and one squaring, the CLI's one writer and one error line, the
-README's config-key table, the module entry point, the demo scripts and the
-benchmark harness and tracer."""
+argument checks of a crossing scan, the kernel calls of a scan and of an
+inversion, the one line misfit of the inversion, the one scan grid and one
+squaring, the CLI's one writer and one error line, the README's config-key
+table, the module entry point, the demo scripts and the benchmark harness and
+tracer."""
 
 import ast
 import glob
@@ -272,6 +273,43 @@ def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
         assert not any(c.converged for c in result.crossings)
         counts.append(count)
     assert counts == [len(levels) + 3] * 2
+
+
+def test_search_work_counts_are_pinned(monkeypatch):
+    # the kernel calls of the default figure-1 scan and of the README
+    # quickstart inversion, exact and host-independent: a change in them is a
+    # change in work that the change log must explain.  Run step by step, the
+    # scan made 41 pair-kernel and 9 energy_level calls, the inversion 127
+    # pair-kernel and 43 _misfits calls.
+    from parabolic_mr import FieldProfile, SpinSystem, spectroscopy, transition_lines
+    from parabolic_mr.cli import figure1_scenario
+
+    calls = {}
+    for name in ("_pair_from_parts", "energy_level", "_misfits"):
+        def counting(*args, _name=name, _kernel=getattr(spectroscopy, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(spectroscopy, name, counting)
+
+    scenario = figure1_scenario()
+    result = spectroscopy.crossing_scan(
+        scenario.system, scenario.field, (scenario.gbar_min, scenario.gbar_max),
+        scenario.all_levels(), steps=scenario.scan_steps,
+    )
+    # 66 pairs x 257 points in 3 grid blocks, 2 bisection rounds; the first
+    # grid point's energies and one energy_level pair
+    assert len(result.crossings) == 39
+    assert calls == {"_pair_from_parts": 3 + 2, "energy_level": 1 + 2}
+
+    system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+    field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
+    lines = [l.frequency_hz for l in transition_lines(system, field, n=1)]
+    calls.clear()
+    result = spectroscopy.identify_frequency(lines, system, field, 1, bracket=(5e4, 6e5))
+    assert abs(result.omega_estimate - system.omega) < 1e-9 * system.omega
+    # the coarse scan and 10 golden-section rounds
+    assert calls == {"_pair_from_parts": 1 + 10, "_misfits": 1 + 10}
 
 
 def test_readme_key_table_mirrors_config_schema():
