@@ -486,11 +486,11 @@ def _cmd_figure1(scenario: Scenario | None, args) -> None:
     columns = ["gbar"] + [f"E_J_m{m:+g}_n{n}" for m, n in ordered]
     table = energy_level(
         scenario.system,
-        replace(scenario.field, gbar=np.array(gs)[:, None]),
+        replace(scenario.field, gbar=gs[:, None]),
         np.array([m for m, _ in ordered]),
         np.array([n for _, n in ordered], dtype=int),
     )
-    rows = [tuple([g] + energies) for g, energies in zip(gs, table.tolist())]
+    rows = [tuple([g] + energies) for g, energies in zip(gs.tolist(), table.tolist())]
     # the crossing table is checked first: when both overflow, the error names it
     crossings = _table(crossing_rows, _CROSSING_COLUMNS, "figure1_crossings", "csv")
     levels = _table(rows, columns, "figure1_levels", "csv")

@@ -4,23 +4,26 @@ Transition-line lists, level-crossing scans versus the quadratic field
 parameter, and the inverse problem of recovering the trap frequency from the
 spin-sublevel splittings of a single oscillator level.
 
-Line energies come from one pair kernel, ``_pair_delta_e``: the analytically
-cancelled difference of two eigenvalues, each sector's sqrt(1 - mbar) read
-from ``core._sector``, rather than a subtraction of two large energies;
-besides avoiding cancellation error, this makes the homogeneous-field line
-set (g = gbar = 0) exactly independent of omega, bit for bit, which is the
-physical statement that a uniform field cannot reveal the trap frequency.
+Line energies come from one pair kernel: ``_level_parts`` reads a level's
+sqrt(1 - mbar) from ``core._sector``, and ``_pair_from_parts`` forms the
+analytically cancelled difference of two eigenvalues from two levels' parts,
+rather than a subtraction of two large energies; besides avoiding
+cancellation error, this makes the homogeneous-field line set (g = gbar = 0)
+exactly independent of omega, bit for bit, which is the physical statement
+that a uniform field cannot reveal the trap frequency.
 
-Scans evaluate the closed forms over numpy arrays, each level's sector once:
-a crossing scan's level pairs are the rows of pair-grid blocks, and its
-bisections and the inversion's golden-section searches run in rounds of one
-kernel call over the steps each predicts, keeping the scalar searches' points
-and comparisons.  Arguments are checked once per scan or line list, and each
-array element is bit-identical to the scalar evaluation.
+Line lists, scans and the inversion derive each level's parts once and pair
+them: a line list per distinct level, a scan over numpy arrays whose level
+pairs are the rows of pair-grid blocks.  Crossing bisections and the
+inversion's golden-section searches run in rounds of one kernel call over the
+steps each predicts, keeping the scalar searches' points and comparisons.
+Arguments are checked once per scan or line list, and each array element is
+bit-identical to the scalar evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -50,8 +53,9 @@ SELECTION_RULES = ("deltaM1_fixed_n", "deltaN1_fixed_M", "all_pairs_within")
 TANGENCY_FRACTION = 1e-6
 
 #: Most lines ``all_pairs_within`` may build: it pairs every two of the
-#: (2S + 1)(n_max + 1) levels, one Python object per line; 2**18 lines take
-#: about 2 s and 150 MB, and the largest config would ask for about 5e11.
+#: (2S + 1)(n_max + 1) levels, one Python object per line; 261003 lines took
+#: 1.2-1.6 s and 78 MB of peak RSS on a 2 vCPU Xeon, and the largest config
+#: would ask for about 5e11.
 MAX_LINES = 2**18
 
 #: Most pair-grid points a ``crossing_scan`` may evaluate, pairs x (steps + 1):
@@ -145,29 +149,6 @@ def _pair_from_parts(system: SpinSystem, field: FieldProfile, parts_a, parts_b) 
     return osc - zeeman - shift_scale * (shift_a - shift_b)
 
 
-def _make_line(
-    system: SpinSystem,
-    field: FieldProfile,
-    level_a: tuple[float, int],
-    level_b: tuple[float, int],
-) -> TransitionLine:
-    """The line between two levels whose M are already checked projections."""
-    de = _pair_delta_e(system, field, level_a, level_b)
-    if de >= 0.0:
-        lo, hi = level_b, level_a
-    else:
-        lo, hi = level_a, level_b
-        de = -de
-    return TransitionLine(
-        m_from=lo[0],
-        n_from=lo[1],
-        m_to=hi[0],
-        n_to=hi[1],
-        delta_e=de,
-        frequency_hz=de / (TWO_PI * HBAR),
-    )
-
-
 def transition_lines(
     system: SpinSystem,
     field: FieldProfile,
@@ -187,7 +168,11 @@ def transition_lines(
     all_pairs_within  every pair of distinct levels with quantum numbers up
                       to ``n_max`` (default: n), optionally dropping finite
                       lines above ``cutoff_hz``; more than ``MAX_LINES``
-                      candidate lines raise ``ValueError`` before any is built.
+                      candidate lines raise ``ValueError`` before any level is
+                      evaluated.
+
+    Each distinct level's parts are derived once (:func:`_level_parts`) and
+    each line pairs two of them (:func:`_pair_from_parts`).
 
     Raises :class:`DissociationError` naming the worst unbound projection
     (the largest mbar) among those the rule involves.
@@ -199,12 +184,12 @@ def transition_lines(
     if rule == "deltaM1_fixed_n":
         ladder = system.levels()
         _require_all_bound(system, field, ladder)
-        pairs = [((ladder[i + 1], n), (ladder[i], n)) for i in range(len(ladder) - 1)]
+        levels = [(mq, n) for mq in ladder]
     elif rule == "deltaN1_fixed_M":
         if m is None:
             raise ValueError("rule deltaN1_fixed_M requires the fixed projection m")
         mq = _projection(system, m)
-        pairs = [((mq, j + 1), (mq, j)) for j in range(n + 1)]
+        levels = [(mq, j) for j in range(n + 2)]
     else:  # all_pairs_within
         top = n if n_max is None else _require_int(n_max, "n_max")
         ladder = system.levels()
@@ -215,13 +200,20 @@ def transition_lines(
             )
         _require_all_bound(system, field, ladder)
         levels = [(mq, j) for mq in ladder for j in range(top + 1)]
-        pairs = [
-            (levels[i], levels[j])
-            for i in range(len(levels))
-            for j in range(i + 1, len(levels))
-        ]
+    if rule == "all_pairs_within":
+        pairs = itertools.combinations(range(len(levels)), 2)
+    else:  # neighbours, the upper level first
+        pairs = ((i + 1, i) for i in range(len(levels) - 1))
 
-    lines = [_make_line(system, field, a, b) for a, b in pairs]
+    parts = [_level_parts(system, field, level) for level in levels]
+    lines = []
+    for i, j in pairs:
+        de = _pair_from_parts(system, field, parts[i], parts[j])
+        if de >= 0.0:  # only a negative difference is negated: -0.0 stays
+            lo, hi = levels[j], levels[i]
+        else:
+            lo, hi, de = levels[i], levels[j], -de
+        lines.append(TransitionLine(*lo, *hi, de, de / (TWO_PI * HBAR)))
     if cutoff_hz is not None:
         # a line past double precision is kept, so it is not mistaken for a high one
         lines = [
@@ -231,9 +223,11 @@ def transition_lines(
     return lines
 
 
-def _scan_grid(lo: float, hi: float, intervals: int) -> list[float]:
-    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan."""
-    return [lo + (hi - lo) * i / intervals for i in range(intervals + 1)]
+def _scan_grid(lo: float, hi: float, intervals: int) -> np.ndarray:
+    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan;
+    like Python floats, a range past the doubles gives inf or nan silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lo + (hi - lo) * np.arange(intervals + 1) / intervals
 
 
 def crossing_scan(
@@ -288,8 +282,8 @@ def crossing_scan(
     if not (g_lo < g_hi):
         raise DissociationError("scan range entirely dissociated for the requested levels")
 
-    gs = _scan_grid(g_lo, g_hi, steps)
-    g = np.array(gs)
+    g = _scan_grid(g_lo, g_hi, steps)
+    gs = g.tolist()
     g_scale = max(abs(g_lo), abs(g_hi))
     grid = replace(field_base, gbar=g)
     e_abs = np.abs(energy_level(system, replace(field_base, gbar=gs[0]), ms, ns))
@@ -498,8 +492,10 @@ def identify_frequency(
     With g = gbar = 0 the line set carries no frequency information and the
     result comes back with ``identifiable=False`` ("homogeneous field"); the
     same happens when the residual is flat over the bracket (relative
-    variation below 1e-12).  A residual minimum on the bracket edge raises
-    :class:`InversionError`, and a misfit or bracket end past the doubles ``ValueError``.
+    variation below 1e-12).  A coarse scan without an interior basin raises
+    :class:`InversionError`, as does a bracket edge whose coarse residual
+    beats every basin and is not beaten by the best refined one; a misfit or
+    bracket end past the doubles raises ``ValueError``.
     """
     measured = np.array(sorted(float(v) for v in lines_hz))
     if not len(measured):
@@ -525,7 +521,7 @@ def identify_frequency(
 
     levels = np.array(system_template.levels())
 
-    def misfits(omegas: list[float]) -> list[float]:
+    def misfits(omegas) -> np.ndarray:
         # at each omega, of level n's adjacent-M lines, the upper level first
         # as transition_lines pairs them
         try:
@@ -535,32 +531,35 @@ def identify_frequency(
             raise ValueError(message) from None
         m, osc, shift = _level_parts(system, field, (levels, n))
         upper, lower = (m[1:], osc[:, 1:], shift[:, 1:]), (m[:-1], osc[:, :-1], shift[:, :-1])
-        return _misfits(_pair_from_parts(system, field, upper, lower), measured).tolist()
+        return _misfits(_pair_from_parts(system, field, upper, lower), measured)
 
     xs = _scan_grid(lo, hi, scan_points - 1)
     fs = misfits(xs)
-    f_min, f_max = min(fs), max(fs)
+    f_min, f_max = float(fs.min()), float(fs.max())
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(
             math.nan, f_min, (lo, hi), False, "unidentifiable: residual flat in omega"
         )
     # an interior global minimum is a basin, so only an edge can beat them all
-    basins = [i for i in range(1, len(xs) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
-    basins.sort(key=fs.__getitem__)
-    if not basins or f_min < fs[basins[0]]:
+    basins = np.flatnonzero((fs[1:-1] <= fs[:-2]) & (fs[1:-1] <= fs[2:])) + 1
+    basins = basins[np.argsort(fs[basins], kind="stable")][:3]
+    if not len(basins):
         raise InversionError("bracket does not contain optimum")
 
     # refine the few deepest basins: a noiseless data set has an exactly-zero
     # residual at the true frequency, which beats any near-alias after refinement
     known = {}
-    states = [(xs[i - 1], xs[i + 1]) for i in basins[:3]]
+    states = zip(xs[basins - 1].tolist(), xs[basins + 1].tolist())
     states = [(a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)) for a, b in states]
     while True:
         states, new = zip(*(_golden_round(*state, known, GOLDEN_ROUND_STEPS) for state in states))
         points = [x for points in new for x in points]
         if not points:
             break
-        known.update(zip(points, misfits(points)))
+        known.update(zip(points, misfits(points).tolist()))
     # the first of the lowest residuals, in basin order
     a, b, _, _ = min(states, key=lambda state: known[0.5 * (state[0] + state[1])])
-    return InversionResult(0.5 * (a + b), known[0.5 * (a + b)], (lo, hi), True, None)
+    residual = known[0.5 * (a + b)]
+    if f_min < fs[basins[0]] and not residual < f_min:
+        raise InversionError("bracket does not contain optimum")  # an edge beats every basin
+    return InversionResult(0.5 * (a + b), residual, (lo, hi), True, None)

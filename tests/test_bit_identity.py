@@ -1,9 +1,9 @@
 """Array evaluations of the closed forms equal the scalar ones bit for bit.
 
 Crossing scans, the inversion's coarse omega scan and the figure-1 level
-table evaluate ``energy_level`` and ``_pair_delta_e`` over numpy arrays, and
-crossing bisection and ``transition_lines`` call the pair kernel on
-arguments checked once.  These tests pin each array element to the scalar
+table evaluate ``energy_level`` and ``_pair_delta_e`` over numpy arrays,
+crossing bisection calls the pair kernel on arguments checked once, and
+``transition_lines`` pairs the parts of each level, derived once.  These tests pin each array element to the scalar
 call on the same values, compared as raw float64 bits (so 0.0 and -0.0
 differ and NaN would show), and the bisection and golden-section rounds,
 at their boundaries too, to the point-by-point searches.

@@ -34,7 +34,7 @@ from parabolic_mr.errors import ConvergenceError, PhysicsError
 from parabolic_mr.oracle import MIN_TOL
 
 #: SHA-256 over the outcomes of :func:`inversion_corpus`, one per line.
-INVERSION_SHA256 = "51a7323683771c1d7dccbe6040429e1f8b6d1bf0c5105145e73146e1e2dc6cf3"
+INVERSION_SHA256 = "d4b91990536f9b1b6d81c6f6b01d9fa91dbb12328bb90dfa9f62d52773290de4"
 
 #: SHA-256 over (exit code, stderr, inversion.json bytes) of each
 #: :data:`INVERT_CONFIGS` run.

@@ -28,6 +28,7 @@ from parabolic_mr import (
     lowest_eigenpairs,
     oscillator_length,
     scaled_spin_number,
+    transition_lines,
     validate_levels,
 )
 from parabolic_mr import core, oracle
@@ -595,3 +596,44 @@ def test_crossings_agree_with_the_oracle():
     assert len(result.crossings) == 39
     for crossing in result.crossings:
         assert_oracle_crossing(scenario.system, scenario.field, crossing, scenario.gbar_max)
+
+
+#: Line check: the oracle stops once each eigenvalue moves by at most 0.1 *
+#: tol of its scale, max(|E| / hbar*omega, half the sector spacing), between
+#: two grids; a line, in units of hbar*omega, is then within LINE_TOL (ten
+#: times that) of the sum of its two levels' scales.
+LINE_TOL = 1e-10
+
+
+def test_lines_agree_with_the_oracle():
+    # every line of all three rules, in 200 random traps, is a difference of
+    # the oracle's eigenvalues; every eighth trap has no gradient and binds
+    # its adverse sector at 0.99-0.999 of the dissociation bound
+    rng = np.random.default_rng(47)
+    checked, near = 0, []
+    for k in range(200):
+        system, field, m = random_stable_scenario(rng, spin_choices=(0.5, 1.0, 1.5, 2.0, 2.5))
+        if k % 8 == 4:
+            system = replace(system, offset=0.0)
+            bound = math.copysign(gbar_critical(system), field.gbar)
+            field = FieldProfile(field.b0, 0.0, rng.uniform(0.99, 0.999) * bound)
+        n, n_max = (int(v) for v in rng.integers(0, 4, 2))
+        levels = {}  # (M, n): (E / hbar*omega, the oracle's scale)
+        for mq in system.levels():
+            values, _ = converged_spectrum(system, field, mq, max(n + 2, n_max + 1), LINE_TOL)
+            spacing = math.sqrt(1.0 - scaled_spin_number(system, field, mq))
+            for j, value in enumerate((values / (HBAR * system.omega)).tolist()):
+                levels[mq, j] = value, max(abs(value), 0.5 * spacing)
+        near.append(max(scaled_spin_number(system, field, mq) for mq in system.levels()))
+        lines = [
+            *transition_lines(system, field, n),
+            *transition_lines(system, field, n, "deltaN1_fixed_M", m=m),
+            *transition_lines(system, field, n, "all_pairs_within", n_max=n_max),
+        ]
+        for line in lines:
+            e_to, s_to = levels[line.m_to, line.n_to]
+            e_from, s_from = levels[line.m_from, line.n_from]
+            error = abs(line.frequency_hz * 2.0 * math.pi / system.omega - (e_to - e_from))
+            assert error <= LINE_TOL * (s_to + s_from), (k, line)
+        checked += len(lines)
+    assert checked >= 5000 and sum(mbar > 0.99 for mbar in near) == 25

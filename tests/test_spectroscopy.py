@@ -153,11 +153,35 @@ class TestTransitionLines:
         field = FieldProfile(0.01, 0.001, 20.0)
 
         def refuse(*args):
-            raise AssertionError("a line was built")
+            raise AssertionError("a level was evaluated")
 
-        monkeypatch.setattr(spectroscopy, "_make_line", refuse)
+        monkeypatch.setattr(spectroscopy, "_level_parts", refuse)
         with pytest.raises(ValueError, match="263175 lines"):
             transition_lines(system, field, 0, rule="all_pairs_within", n_max=241)
+
+    @pytest.mark.parametrize("spin", [1.0, 2.5])
+    def test_each_level_evaluated_once(self, monkeypatch, spin):
+        # a rule's lines come from one sector evaluation per distinct level
+        system = larmor_system(spin=spin)
+        field = FieldProfile(0.01, 0.001, 20.0)
+        parts, calls = spectroscopy._level_parts, []
+
+        def counted(system, field, level):
+            calls.append(level)
+            return parts(system, field, level)
+
+        monkeypatch.setattr(spectroscopy, "_level_parts", counted)
+        ladder, n, n_max = int(2 * spin + 1), 2, 3
+        for rule, options, count in (
+            ("deltaM1_fixed_n", {}, ladder),
+            ("deltaN1_fixed_M", {"m": -spin}, n + 2),
+            ("all_pairs_within", {"n_max": n_max}, ladder * (n_max + 1)),
+        ):
+            calls.clear()
+            lines = transition_lines(system, field, n, rule, **options)
+            assert len(set(calls)) == len(calls) == count, rule
+            assert {(l.m_from, l.n_from) for l in lines} | {(l.m_to, l.n_to) for l in lines} == set(
+                calls)
 
     def test_dissociated_sector_named_in_error(self):
         system = larmor_system()
@@ -414,6 +438,22 @@ class TestIdentifyFrequency:
         lines = [l.frequency_hz for l in transition_lines(system, field, 0)]
         with pytest.raises(InversionError, match="bracket does not contain optimum"):
             identify_frequency(lines, system, field, 0, (1e6, 5e6))
+
+    def test_edge_beaten_by_a_refined_basin_is_identified(self):
+        # the floor clips this S = 1 bracket to (790374.96, 3 omega); the upper
+        # edge's coarse residual (2725.76 Hz) beats every coarse basin (the
+        # best, 4877.75 Hz), yet that basin refines to the true omega
+        omega = 939381.4062415294
+        system = SpinSystem(mass=6.2474923389409814e-27, gamma=2836246291.9764686, spin=1.0,
+                            omega=omega, offset=1.8664343759965646e-07)
+        field = FieldProfile(-1.7783868506410072e-05, 5785.919732236293, -6524120647.59791)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 3)]
+        bracket = (omega / 3.0, omega * 3.0)
+        assert bracket == (313127.13541384315, 2818144.218724588)
+        result = identify_frequency(lines, replace(system, omega=1.0), field, 3, bracket)
+        assert result.identifiable and result.bracket[0] > bracket[0]
+        assert abs(result.omega_estimate - omega) <= 1e-10 * omega
+        assert result.residual_rms_hz < 1e-5
 
     def test_two_species_mixture_recovered_separately(self):
         field = FieldProfile(0.0, 0.0015, 25.0)

@@ -180,13 +180,19 @@ def test_scan_conventions_are_written_once():
         ("spectroscopy", "identify_frequency"),
     ]
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    grids = [
-        (module, top.name) for module, top in tops() for node in ast.walk(top)
-        if isinstance(node, comprehensions)
-        and any(isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "range"
-                for gen in node.generators)
-        and any(isinstance(part, ast.Div) for part in ast.walk(node))
-    ]
+
+    def builds_grid(node):
+        # a division over range(): in a comprehension, or numpy's arange
+        if isinstance(node, comprehensions):
+            return any(
+                isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "range"
+                for gen in node.generators
+            ) and any(isinstance(part, ast.Div) for part in ast.walk(node))
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and (
+            "arange" in names(ast.walk(node)))
+
+    grids = [(module, top.name) for module, top in tops()
+             for node in ast.walk(top) if builds_grid(node)]
     assert grids == [("spectroscopy", "_scan_grid")]
     catching = sorted(
         (module, top.name) for module, top in tops() for node in ast.walk(top)
