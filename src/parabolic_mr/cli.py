@@ -33,7 +33,6 @@ from .core import (
     FieldProfile,
     SpinSystem,
     _projection,
-    _require_all_bound,
     energy_level,
     gbar_critical,
 )
@@ -356,11 +355,9 @@ def _write(out_dir: str, outputs, note: str = "") -> None:
 def _cmd_spectrum(scenario: Scenario, args) -> None:
     scale = HBAR * scenario.system.omega
     levels = scenario.all_levels()
-    _require_all_bound(scenario.system, scenario.field, [m for m, _ in levels])
-    rows = []
-    for m, n in levels:
-        e = energy_level(scenario.system, scenario.field, m, n)
-        rows.append((m, n, e, e / scale))
+    ms, ns = np.array([m for m, _ in levels]), np.array([n for _, n in levels], dtype=int)
+    energies = energy_level(scenario.system, scenario.field, ms, ns).tolist()
+    rows = [(m, n, e, e / scale) for (m, n), e in zip(levels, energies)]
     columns = ["M", "n", "energy_J", "energy_hbar_omega"]
     _write(args.out, [_table(rows, columns, "levels", args.format)])
 
@@ -535,7 +532,7 @@ def run(argv) -> int:
         scenario = None
         if args.config is not None:
             scenario = load_config(args.config, args.omega_unit)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: one ERROR line, no warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ERROR, not a warning
             _COMMANDS[args.command](scenario, args)
         return EXIT_OK
     except tuple(_ERROR_EXITS) as exc:

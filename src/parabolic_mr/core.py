@@ -74,6 +74,13 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, ndarray) else math.sqrt(x)
 
 
+def _python_scalars(obj, names) -> None:
+    """Store numpy scalar fields ``names`` as Python scalars, which overflow silently."""
+    for name in names:
+        if isinstance(getattr(obj, name), np.generic):
+            object.__setattr__(obj, name, getattr(obj, name).item())
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Particle and trap parameters.
@@ -96,6 +103,7 @@ class SpinSystem:
     _omega_squared: float = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _python_scalars(self, ("mass", "gamma", "spin", "omega", "offset", "sample_half_length"))
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError("invalid system: mass must be positive and finite")
         if not _positive_finite(self.omega):
@@ -143,6 +151,7 @@ class FieldProfile:
     gbar: float
 
     def __post_init__(self) -> None:
+        _python_scalars(self, ("b0", "g", "gbar"))
         for name in ("b0", "g", "gbar"):
             if not _finite(getattr(self, name)):
                 raise ValueError(f"invalid field: {name} must be finite")
@@ -220,16 +229,16 @@ def _require_int(n: int, name: str = "n") -> int:
 def _require_bound(mbar, mq) -> None:
     """Raise :class:`DissociationError` if a sector has mbar >= 1.
 
-    This is the closed forms' one dissociation rule; the boundary mbar = 1
-    counts as unbound.  Over arrays, the error names the worst element, the
-    one with the largest mbar (the first in C order on a tie), as
-    :func:`_require_all_bound` does over a list.
+    This is the closed forms' one dissociation rule, called by :func:`_sector`
+    alone; the boundary mbar = 1 counts as unbound.  Over arrays, the error
+    names the unbound element with the largest mbar (the first in C order on a
+    tie), never a NaN one (inf * 0 at M = 0 once gamma*gbar overflows).
     """
     unbound = mbar >= 1.0
     if isinstance(unbound, ndarray):
         if not unbound.any():
             return
-        worst = int(np.argmax(mbar))
+        worst = int(np.argmax(np.where(unbound, mbar, -np.inf)))
         mbar = float(mbar.flat[worst])
         mq = float(np.broadcast_to(mq, unbound.shape).flat[worst])
     elif not unbound:
@@ -285,17 +294,6 @@ def _sector(system: SpinSystem, field: FieldProfile, mq: float):
     mbar = _mbar(system, field, mq)
     _require_bound(mbar, mq)
     return mbar, _sqrt(1.0 - mbar)
-
-
-def _require_all_bound(system: SpinSystem, field: FieldProfile, ms) -> None:
-    """:func:`_require_bound` over several projections, naming the worst.
-
-    The worst projection has the largest mbar (the first one on a tie), so a
-    ladder or level list reports its most deeply unbound sector.
-    """
-    mqs = [_projection(system, m) for m in ms]
-    mbar, mq = max(((_mbar(system, field, mq), mq) for mq in mqs), key=lambda sector: sector[0])
-    _require_bound(mbar, mq)
 
 
 def scaled_spin_number(system: SpinSystem, field: FieldProfile, m: float) -> float:

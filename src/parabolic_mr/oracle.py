@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import HBAR, oscillator_length
-from .core import FieldProfile, SpinSystem, _projection, energy_level
+from .core import FieldProfile, SpinSystem, _projection, _require_int, energy_level
 from .errors import ConvergenceError, DissociationError
 
 #: Smallest relative tolerance ``converged_spectrum`` accepts.  Successive
@@ -346,14 +346,18 @@ def validate_levels(
 ) -> ValidationReport:
     """Compare closed-form energies against the converged grid spectrum.
 
-    ``levels`` is an iterable of (M, n) pairs; each distinct M triggers one
-    sector solve sized for its largest requested n.
+    ``levels`` is an iterable of (M, n) pairs, whose M and n are checked in one
+    array call each before any solve, as :func:`energy_level` checks them;
+    each distinct M triggers one sector solve sized for its largest n.
     """
-    wanted: dict[float, list[int]] = {}
-    for m, n in levels:
-        wanted.setdefault(_projection(system, m), []).append(int(n))
-    if not wanted:
+    levels = list(levels)
+    if not levels:
         raise ValueError("no levels requested")
+    ms = _projection(system, np.array([m for m, _ in levels]))
+    ns = _require_int(np.array([n for _, n in levels]))
+    wanted: dict[float, list[int]] = {}
+    for mq, n in zip(ms.tolist(), ns.tolist()):
+        wanted.setdefault(mq, []).append(n)
 
     records: list[LevelRecord] = []
     sectors: list[SectorConvergence] = []

@@ -13,12 +13,13 @@ exactly independent of omega, bit for bit, which is the physical statement
 that a uniform field cannot reveal the trap frequency.
 
 Line lists, scans and the inversion derive each level's parts once and pair
-them: a line list per distinct level, a scan over numpy arrays whose level
-pairs are the rows of pair-grid blocks.  Crossing bisections and the
-inversion's golden-section searches run in rounds of one kernel call over the
-steps each predicts, keeping the scalar searches' points and comparisons.
-Arguments are checked once per scan or line list, and each array element is
-bit-identical to the scalar evaluation.
+them: a line list in one array call, which names its worst unbound sector,
+paired as Python floats; a scan over numpy arrays whose level pairs are the
+rows of pair-grid blocks.  Crossing bisections and the inversion's
+golden-section searches run in rounds of one kernel call over the steps each
+predicts, keeping the scalar searches' points and comparisons.  Arguments are
+checked once per scan or line list, and each array element is bit-identical
+to the scalar evaluation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core import (
     _mbar,
     _omega_floor,
     _projection,
-    _require_all_bound,
     _require_int,
     _sector,
     _square,
@@ -171,20 +171,17 @@ def transition_lines(
                       candidate lines raise ``ValueError`` before any level is
                       evaluated.
 
-    Each distinct level's parts are derived once (:func:`_level_parts`) and
-    each line pairs two of them (:func:`_pair_from_parts`).
-
-    Raises :class:`DissociationError` naming the worst unbound projection
-    (the largest mbar) among those the rule involves.
+    One array call of :func:`_level_parts` derives the rule's levels' parts,
+    and each line pairs two of them as Python floats (:func:`_pair_from_parts`).
+    That call raises :class:`DissociationError` naming the worst unbound
+    projection (the largest mbar, the first on a tie) the rule involves.
     """
     n = _require_int(n)
     if rule not in SELECTION_RULES:
         raise ValueError(f"unknown selection rule {rule!r} (expected one of {SELECTION_RULES})")
 
     if rule == "deltaM1_fixed_n":
-        ladder = system.levels()
-        _require_all_bound(system, field, ladder)
-        levels = [(mq, n) for mq in ladder]
+        levels = [(mq, n) for mq in system.levels()]
     elif rule == "deltaN1_fixed_M":
         if m is None:
             raise ValueError("rule deltaN1_fixed_M requires the fixed projection m")
@@ -198,14 +195,16 @@ def transition_lines(
             raise ValueError(
                 f"all_pairs_within asks for {size * (size - 1) // 2} lines, more than {MAX_LINES}"
             )
-        _require_all_bound(system, field, ladder)
         levels = [(mq, j) for mq in ladder for j in range(top + 1)]
     if rule == "all_pairs_within":
         pairs = itertools.combinations(range(len(levels)), 2)
     else:  # neighbours, the upper level first
         pairs = ((i + 1, i) for i in range(len(levels) - 1))
 
-    parts = [_level_parts(system, field, level) for level in levels]
+    ms, ns = np.array(levels, dtype=float).T
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+        _, osc, shift = _level_parts(system, field, (ms, ns))
+    parts = list(zip(ms.tolist(), osc.tolist(), shift.tolist()))
     lines = []
     for i, j in pairs:
         de = _pair_from_parts(system, field, parts[i], parts[j])
@@ -246,12 +245,12 @@ def crossing_scan(
     degenerate over the whole scan are reported separately, as are |delta E|
     dips without a sign flip (possible tangencies).
 
-    The levels are checked once per scan.  The pairs, in (i, j) order, are
-    the rows of blocks of at most ``SCAN_BLOCK_POINTS`` points, one kernel
-    call each; more than ``MAX_SCAN_EVALUATIONS`` raise ``ValueError`` before
-    any is evaluated.  Every crossing, grid zeros too, closes in the rounds of
-    :func:`_bisect_crossings`, bit-identical to the scalar calls; a frozen or
-    step-capped one has ``converged=False``.
+    The levels' M and n are checked in one array call each.  The pairs, in
+    (i, j) order, are the rows of blocks of at most ``SCAN_BLOCK_POINTS``
+    points, one kernel call each; more than ``MAX_SCAN_EVALUATIONS`` raise
+    ``ValueError`` before any is evaluated.  Every crossing, grid zeros too,
+    closes in the rounds of :func:`_bisect_crossings`, bit-identical to the
+    scalar calls; a frozen or step-capped one has ``converged=False``.
     """
     levels = list(levels)
     if not levels:
@@ -261,15 +260,15 @@ def crossing_scan(
     size = len(levels) * (len(levels) - 1) // 2 * (steps + 1)
     if size > MAX_SCAN_EVALUATIONS:
         raise ValueError(f"scan of {size} pair-grid points, more than {MAX_SCAN_EVALUATIONS}")
-    level_list = [(_projection(system, m), _require_int(nn)) for m, nn in levels]
+    ms = _projection(system, np.array([m for m, _ in levels]))
+    ns = _require_int(np.array([nn for _, nn in levels]))
+    level_list = list(zip(ms.tolist(), ns.tolist()))
     if len(set(level_list)) != len(level_list):
         raise ValueError("identical levels in pair list: each (m_quantum, n) must be unique")
     g_lo, g_hi = float(gbar_range[0]), float(gbar_range[1])
     if not (g_lo < g_hi):
         raise ValueError("gbar_range must be an increasing pair")
 
-    ms = np.array([mq for mq, _ in level_list])
-    ns = np.array([nn for _, nn in level_list])
     # sector M is bound while gbar * slope < 1, i.e. on zero's side of 1/slope
     slopes = _mbar(system, replace(field_base, gbar=1.0), ms)  # mbar per unit gbar
     bounds = 1.0 / slopes[slopes != 0.0]

@@ -308,6 +308,22 @@ class TestSpectrumCommand:
         keys = [(float(r.split(",")[0]), int(r.split(",")[1])) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("levels", [None, [[1.0, 0], [0.0, 1], [-1.0, 2]]])
+    def test_one_energy_call_per_run(self, tmp_path, monkeypatch, levels):
+        # the level table, default or configured, comes from one array call
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return energy_level(*args)
+
+        monkeypatch.setattr(cli, "energy_level", counted)
+        path = write_config(tmp_path, n_max=3, **({} if levels is None else {"levels": levels}))
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+        rows = (out / "levels.csv").read_text().splitlines()[1:]
+        assert len(calls) == 1 and len(rows) == (12 if levels is None else 3)
+
     def test_json_format(self, tmp_path):
         path = write_config(tmp_path, spin=0.0, n_max=1)
         out = tmp_path / "out"
@@ -332,6 +348,19 @@ class TestOverflowingScenarios:
         path = write_config(tmp_path, g=1e200)
         out = tmp_path / "out"
         assert run(["spectrum", "--config", path, "--out", str(out), "--format", fmt]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "ERROR 2: levels would hold a value past double precision\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("slope", [{"offset": 0.0, "g": 0.0}, {"offset": 1e-9, "g": 1e-3}])
+    def test_zero_shift_divisor_refused(self, tmp_path, capsys, slope):
+        # at mass 1e-320 and mbar within 1e-9 of 1, 2*mass*omega*(1 - mbar)
+        # underflows to zero, so the M = 1 shift is nan or inf
+        system = SpinSystem(mass=1e-320, gamma=5e10, spin=1.0, omega=1e3)
+        gbar = gbar_critical(system) * (1.0 - 1e-9)
+        path = write_config(tmp_path, mass=1e-320, omega=1e3, b0=0.0, gbar=gbar, n_max=0, **slope)
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "ERROR 2: levels would hold a value past double precision\n"
         assert not out.exists()

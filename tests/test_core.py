@@ -74,6 +74,25 @@ class TestDomainTypes:
         assert simple_system(spin=1.5).levels() == (-1.5, -0.5, 0.5, 1.5)
         assert simple_system(spin=0.0).levels() == (0.0,)
 
+    def test_numpy_scalars_stored_as_python_scalars(self):
+        # so they compute as Python floats: without a warning past the
+        # doubles, and with the same results, type for type
+        system = simple_system(gamma=np.float64(5e10), spin=np.float64(1.0))
+        field = FieldProfile(np.float64(0.001), np.float64(1e200), np.float64(10.0))
+        assert type(system.gamma) is type(system.spin) is type(field.g) is float
+        omegas = np.array([1e5, 2e5])
+        assert simple_system(omega=omegas).omega is omegas
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = transition_lines(system, field, 1)
+        expected = transition_lines(
+            simple_system(gamma=5e10, spin=1.0), FieldProfile(0.001, 1e200, 10.0), 1
+        )
+        assert repr(lines) == repr(expected)
+        assert [[type(v) for v in vars(l).values()] for l in lines] == [
+            [type(v) for v in vars(l).values()] for l in expected
+        ]
+
     def test_field_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FieldProfile(b0=math.inf, g=0.0, gbar=0.0)
@@ -467,6 +486,23 @@ class TestEigenfunctions:
                 assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
 
+#: A config where 2*gamma*gbar overflows, so mbar is -inf, nan (inf * 0) and
+#: inf at M = -1, 0 and 1: the unbound M = 1 is named, never the nan of M = 0.
+OVERFLOW_CONFIG = {
+    "mass": 1e-26, "gamma": 5e10, "spin": 1.0, "omega": 2e5, "offset": 1e-6,
+    "b0": 0.001, "g": 0.002, "gbar": 1e300,
+}
+
+
+def overflowing_ladder(_system, _field):
+    """energy_level over the M = -1, 0, 1 of :data:`OVERFLOW_CONFIG`, without
+    numpy's warnings of the overflow."""
+    system = SpinSystem(mass=1e-26, gamma=5e10, spin=1.0, omega=2e5, offset=1e-6)
+    field = FieldProfile(0.001, 0.002, 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return energy_level(system, field, np.array([-1.0, 0.0, 1.0]), 0)
+
+
 class TestDissociationRule:
     """Every entry point that refuses an unbound sector, on the criterion-4 trap.
 
@@ -490,17 +526,31 @@ class TestDissociationRule:
             (lambda s, f: transition_lines(s, f, 0), 2.0),
             (lambda s, f: transition_lines(s, f, 0, rule="deltaN1_fixed_M", m=1.0), 1.0),
             (lambda s, f: transition_lines(s, f, 0, rule="all_pairs_within", n_max=1), 2.0),
+            (overflowing_ladder, 1.0),
         ],
         ids=[
             "energy_level", "energy_level-array", "effective_frequency", "eigenfunction_center",
             "energy_decomposition", "lines-deltaM1_fixed_n",
-            "lines-deltaN1_fixed_M", "lines-all_pairs_within",
+            "lines-deltaN1_fixed_M", "lines-all_pairs_within", "energy_level-array-overflow",
         ],
     )
     def test_library_entry_point_names_the_sector(self, call, named):
         assert scaled_spin_number(self.SYSTEM, self.FIELD, 1.0) == 1.0
         with pytest.raises(DissociationError, match=re.escape(f"m_quantum={named} ")):
             call(self.SYSTEM, self.FIELD)
+
+    @pytest.mark.parametrize("command", ["spectrum", "lines"])
+    def test_overflowing_mbar_names_the_unbound_sector(self, tmp_path, capsys, command):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(OVERFLOW_CONFIG))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(config), "--out", str(out)]) == EXIT_PHYSICS
+        assert capsys.readouterr().err == (
+            "ERROR 3: dissociation: effective frequency imaginary for m_quantum=1.0 (mbar=inf)\n"
+        )
+        assert not out.exists()
 
     def test_spectrum_command_names_the_worst_requested_level(self, tmp_path, capsys):
         config = tmp_path / "scenario.json"

@@ -13,6 +13,7 @@ them any other way flips the digests that depend on omega squared.
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -178,12 +179,15 @@ def test_cli_invert_digest(tmp_path, capsys):
     assert record.hexdigest() == CLI_INVERT_SHA256
 
 
+#: SHA-256 over the outcomes of :func:`overflow_lines_corpus`, one per line.
+OVERFLOW_LINES_SHA256 = "de54bef1c8c47cfe46dbed77151342248a41c8ba2e49fc774c7e718a129c4ead"
+
 #: SHA-256 over the outcomes of :func:`scan_corpus`, one per line.
 CROSSING_SCAN_SHA256 = "27ffabc08294a2b92409bc29a398639140db4208d5a1ad64a071f1240d022e56"
 
 #: SHA-256 over the eigenvalue bytes and convergence record, or the error
 #: text, of each :func:`sector_corpus` call.
-CONVERGED_SPECTRUM_SHA256 = "cae3dd894ad61a51f4269faef2805deead99dd2ed1e6a7e1702ffd2f0830d3b3"
+CONVERGED_SPECTRUM_SHA256 = "038b6915a9211165989b2c72930900b286092b051f0ce27760e17df410fca683"
 
 #: SHA-256 over every run of :func:`cli_corpus`, by subcommand.
 CLI_SHA256 = {
@@ -219,6 +223,41 @@ def random_trap(rng):
     """A random stable trap and field with S = 1/2..5/2 and a pow-sensitive omega."""
     system, field, _ = random_stable_scenario(rng, spin_choices=SPINS)
     return replace(system, omega=pow_sensitive(system.omega)), field
+
+
+def overflow_lines_corpus():
+    """(system, field, n, rule, options) of ``transition_lines`` calls past
+    the doubles, under every rule, at S = 0..5/2 and gamma of either sign or
+    0: gbar = +-1e300, where 2*gamma*gbar overflows (mbar is +-inf, and nan
+    at M = 0), and g = 1e200, whose squared slope overflows."""
+    calls = []
+    for spin in (0.0,) + SPINS:
+        rules = (
+            ("deltaM1_fixed_n", {}),
+            ("deltaN1_fixed_M", {"m": spin}),
+            ("all_pairs_within", {"n_max": 2}),
+            ("all_pairs_within", {"n_max": 1, "cutoff_hz": 1e9}),
+        )
+        for gamma in (5e10, -5e10, 0.0):
+            system = SpinSystem(mass=1e-26, gamma=gamma, spin=spin, omega=2e5, offset=1e-6)
+            for g, gbar in ((0.002, 1e300), (0.002, -1e300), (1e200, 10.0), (1e200, 1e300)):
+                for rule, options in rules:
+                    calls.append((system, FieldProfile(0.001, g, gbar), 1, rule, options))
+    return calls
+
+
+def test_overflow_lines_corpus_digest():
+    # Python-float parameters overflow silently, so no call may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = [
+            outcome(lambda: transition_lines(*call, **options))
+            for *call, options in overflow_lines_corpus()
+        ]
+    for text in ("DissociationError", "mbar=inf", "delta_e=inf", "delta_e=nan", "[]"):
+        assert any(text in o for o in outcomes), text
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == OVERFLOW_LINES_SHA256
 
 
 def electron_scan(rng, spin, n_max, steps):

@@ -411,6 +411,18 @@ class TestValidateLevels:
         with pytest.raises(ValueError):
             validate_levels(system, ZERO_FIELD, [])
 
+    @pytest.mark.parametrize("n", [1.7, -1])
+    def test_n_checked_before_any_solve(self, monkeypatch, n):
+        # as energy_level does: 1.7 is not truncated to level 1, and -1 is
+        # not handed to the solver as k = 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sector was solved")
+
+        monkeypatch.setattr(oracle, "converged_spectrum", refuse)
+        system = oscillator_system(spin=1.5)
+        with pytest.raises(ValueError, match="^n must be a nonnegative integer$"):
+            validate_levels(system, ZERO_FIELD, [(1.5, 0), (0.5, n)])
+
 
 #: SHA-256 of ``validation.json`` from ``parabolic-mr validate`` on the
 #: library-quickstart trap (README) with default levels and tol.  It pins the
@@ -434,8 +446,8 @@ def test_quickstart_validation_matches_pinned_digest(tmp_path, capsys):
 
 
 def test_report_of_numpy_scalar_parameters_writes_as_json():
-    # a numpy-scalar gamma makes max_rel_error a numpy float; passed() must
-    # still be a Python bool, or json refuses the report
+    # a numpy-scalar gamma must not make passed() a numpy bool, or json
+    # refuses the report
     system = SpinSystem(mass=2e-26, gamma=np.float64(8e10), spin=1.5, omega=1.1e5, offset=2e-6)
     field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
     report = validate_levels(system, field, [(1.5, 0), (-0.5, 1)], tol=1e-8)

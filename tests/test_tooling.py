@@ -90,9 +90,9 @@ def test_dissociation_error_raised_in_three_places():
 
 def test_one_sector_rule_and_an_oracle_apart_from_it():
     # the closed forms refuse an unbound sector only where they derive its
-    # mbar and sqrt(1 - mbar) (core._sector) or name the worst of several;
-    # they read omega^2 as squared once by SpinSystem; and the oracle takes
-    # from core only the types, the projection check and the energy it checks
+    # mbar and sqrt(1 - mbar) (core._sector), over one level or an array of
+    # them; they read omega^2 as squared once by SpinSystem; and the oracle
+    # takes from core only the types, the M and n checks and the energy it checks
     trees = _module_trees()
     callers = [
         (module, getattr(top, "name", None))
@@ -102,7 +102,7 @@ def test_one_sector_rule_and_an_oracle_apart_from_it():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_require_bound"
     ]
-    assert sorted(callers) == [("core", "_require_all_bound"), ("core", "_sector")]
+    assert sorted(callers) == [("core", "_sector")]
     squares = [
         (module, node.lineno)
         for module in ("core", "spectroscopy")
@@ -117,7 +117,9 @@ def test_one_sector_rule_and_an_oracle_apart_from_it():
         if isinstance(node, ast.ImportFrom) and node.module == "core"
         for alias in node.names
     ]
-    assert sorted(imported) == ["FieldProfile", "SpinSystem", "_projection", "energy_level"]
+    assert sorted(imported) == [
+        "FieldProfile", "SpinSystem", "_projection", "_require_int", "energy_level"
+    ]
 
 
 def test_crossing_points_are_built_in_one_place():
@@ -239,8 +241,8 @@ def test_cli_has_one_writer_and_one_error_line():
 
 
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
-    # the scan checks each level's M once, the first grid point's energies
-    # check them once more as one array, and bisection checks none of its
+    # the scan checks the levels' M in one array call, the first grid point's
+    # energies check them once more as one array, and bisection checks none of its
     # steps: only the energies of tested brackets go through energy_level
     # and its check
     from parabolic_mr import core, spectroscopy
@@ -269,8 +271,8 @@ def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
     result, count = scan()
     assert len(result.crossings) == 39 and all(c.converged for c in result.crossings)
     assert count <= 3 * len(levels) + 2 * len(result.crossings)
-    # no bracket closes within 10 or 20 steps: the count is the scan's and
-    # the first grid point's, plus the last step's evaluation of the open
+    # no bracket closes within 10 or 20 steps: the count is the scan's call
+    # and the first grid point's, plus the last step's evaluation of the open
     # brackets' energies, one per level of each pair
     counts = []
     for cap in (10, 20):
@@ -278,7 +280,7 @@ def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
         result, count = scan()
         assert not any(c.converged for c in result.crossings)
         counts.append(count)
-    assert counts == [len(levels) + 3] * 2
+    assert counts == [1 + 3] * 2
 
 
 def test_search_work_counts_are_pinned(monkeypatch):
