@@ -91,7 +91,8 @@ class Scenario:
     """A fully validated scenario: system + field + task parameters.
 
     Each field default is the default of the config key of the same name.
-    Every M in ``levels`` and ``fixed_m`` must be a projection of the spin.
+    Every M in ``levels`` and ``fixed_m`` must be a projection of the spin;
+    each key's M are checked in one array call, and the first bad one is named.
     """
 
     system: SpinSystem
@@ -112,12 +113,10 @@ class Scenario:
     scan_points: int = 512
 
     def __post_init__(self) -> None:
-        named = [("levels", m) for m, _ in self.levels or ()]
-        if self.fixed_m is not None:
-            named.append(("fixed_m", self.fixed_m))
-        for key, m in named:
+        fixed = () if self.fixed_m is None else (self.fixed_m,)
+        for key, ms in (("levels", [m for m, _ in self.levels or ()]), ("fixed_m", fixed)):
             try:
-                _projection(self.system, m)
+                _projection(self.system, np.array(ms))
             except ValueError as exc:
                 raise ValueError(f"key {key!r}: {exc}") from None
 

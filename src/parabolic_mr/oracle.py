@@ -134,11 +134,20 @@ class LevelRecord:
     analytic_j: float
     numeric_j: float
     rel_error: float
+    #: the level's oscillator scale hbar*omega*sqrt(1 - mbar)*(n + 1/2), J
+    scale_j: float
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Analytic-vs-numeric comparison over a set of levels."""
+    """Analytic-vs-numeric comparison over a set of levels.
+
+    A level passes when its error is below ``tolerance`` relative to |E| or
+    at most ``tolerance`` times its oscillator scale, so a level near E = 0
+    is judged on the scale of its spacing; the report passes when every
+    sector converged and every level passes.  ``max_rel_error`` is relative
+    to |E| alone.
+    """
 
     records: tuple[LevelRecord, ...]
     sectors: tuple[SectorConvergence, ...]
@@ -147,7 +156,11 @@ class ValidationReport:
     max_rel_error: float
 
     def passed(self) -> bool:
-        return bool(self.converged and self.max_rel_error < self.tolerance)  # not numpy's bool
+        return bool(self.converged and all(  # not numpy's bool
+            r.rel_error < self.tolerance
+            or abs(r.numeric_j - r.analytic_j) <= self.tolerance * r.scale_j
+            for r in self.records
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -348,7 +361,9 @@ def validate_levels(
 
     ``levels`` is an iterable of (M, n) pairs, whose M and n are checked in one
     array call each before any solve, as :func:`energy_level` checks them;
-    each distinct M triggers one sector solve sized for its largest n.
+    each distinct M triggers one sector solve sized for its largest n.  Each
+    record carries its relative error and its oscillator scale, from which
+    :meth:`ValidationReport.passed` judges it.
     """
     levels = list(levels)
     if not levels:
@@ -365,10 +380,11 @@ def validate_levels(
         ns = sorted(set(wanted[mq]))
         numeric, report = converged_spectrum(system, field, mq, ns[-1] + 1, tol)
         sectors.append(report)
+        spacing_j = HBAR * system.omega * math.sqrt(1.0 - _bound_mbar(system, field, mq))
         analytics = energy_level(system, field, mq, np.array(ns)).tolist()
         for n, analytic, num in zip(ns, analytics, numeric[ns].tolist()):
             rel = abs(num - analytic) / abs(analytic) if abs(analytic) > 0.0 else math.inf
-            records.append(LevelRecord(mq, n, analytic, num, rel))
+            records.append(LevelRecord(mq, n, analytic, num, rel, spacing_j * (n + 0.5)))
     max_rel = max(r.rel_error for r in records)
     return ValidationReport(
         tuple(records),

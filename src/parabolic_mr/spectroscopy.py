@@ -74,6 +74,11 @@ MAX_BISECTION_STEPS = 200
 #: points holds for a median 15 steps of the benchmark's scans.
 BISECTION_ROUND_STEPS = 20
 
+#: Most line energies one kernel call of the inversion's coarse scan evaluates,
+#: in whole rows of 2S lines: the largest config, 65536 points of 1023 lines,
+#: would otherwise take 512 MiB per array.
+MISFIT_BLOCK_LINES = 2**20
+
 #: Golden-section steps k one round covers; a basin adds the 2**k - 1 points
 #: they may need as rows (k = 4 beat 2, 3 and 5).
 GOLDEN_ROUND_STEPS = 4
@@ -248,9 +253,11 @@ def crossing_scan(
     The levels' M and n are checked in one array call each.  The pairs, in
     (i, j) order, are the rows of blocks of at most ``SCAN_BLOCK_POINTS``
     points, one kernel call each; more than ``MAX_SCAN_EVALUATIONS`` raise
-    ``ValueError`` before any is evaluated.  Every crossing, grid zeros too,
-    closes in the rounds of :func:`_bisect_crossings`, bit-identical to the
-    scalar calls; a frozen or step-capped one has ``converged=False``.
+    ``ValueError`` before any is evaluated.  One product of neighbouring
+    points' signs brackets a block's flips and gates its dips.  Every crossing,
+    grid zeros too, closes in the rounds of :func:`_bisect_crossings`,
+    bit-identical to the scalar calls; a frozen or step-capped one has
+    ``converged=False``.
     """
     levels = list(levels)
     if not levels:
@@ -298,25 +305,22 @@ def crossing_scan(
         ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (rows_i, rows_j)))
         if not np.isfinite(ds).all():
             raise ValueError("level energy differences past double precision on the gbar range")
-        zero, positive = ds == 0.0, ds > 0.0
-        flips = positive[:, :-1] != positive[:, 1:]
+        # per interval: < 0 at a sign flip, > 0 without one, 0 at a grid zero
+        turn = np.sign(ds[:, :-1]) * np.sign(ds[:, 1:])
         # tangency candidates: |d| dips to a local minimum below
         # TANGENCY_FRACTION of the level scale without changing sign
         abs_ds = np.abs(ds)
         small = abs_ds < TANGENCY_FRACTION * np.maximum(e_abs[rows_i], e_abs[rows_j])[:, None]
-        dips = ~flips & (small[:, :-1] | small[:, 1:])
-        rows, lo = np.nonzero(flips)  # refined below where the grid holds a zero
+        dips = (turn > 0.0) & (small[:, :-1] | small[:, 1:])
+        rows, lo = np.nonzero(turn < 0.0)
         hi = lo + 1
-        if zero.any():  # a zero difference neither flips nor dips
-            zero_a = zero[:, :-1]
-            live = ~(zero_a | zero[:, 1:])
-            flips, dips = flips & live, dips & live
-            rows, lo = np.nonzero(flips)
+        zero = ds == 0.0
+        if zero.any():
             # a pair lands on zero at the first point or from a nonzero
             # neighbour; one that is zero everywhere is degenerate
             degenerate_rows = zero.all(axis=1)
             landed = zero & ~degenerate_rows[:, None]
-            landed[:, 1:] &= ~zero_a
+            landed[:, 1:] &= ~zero[:, :-1]
             degenerate += [pairs[start + row] for row in np.flatnonzero(degenerate_rows)]
             rows_l, at = np.nonzero(landed)
             rows, lo, hi = (np.concatenate(c) for c in ([rows_l, rows], [at, lo], [at, lo + 1]))
@@ -482,8 +486,9 @@ def identify_frequency(
     between measured and model lines (matched in sorted order when the full
     2S-line set is given, otherwise to the nearest model line) is minimized
     by a coarse scan followed by golden-section refinement to relative 1e-10.
-    The coarse scan evaluates all ``scan_points`` x 2S line energies in one
-    array call of the pair kernel; in each refinement round, the up to three
+    The coarse scan evaluates its ``scan_points`` x 2S line energies in row
+    blocks of at most ``MISFIT_BLOCK_LINES``, one array call of the pair kernel
+    each, so its memory stays bounded; in each refinement round, the up to three
     basins add the points their next ``GOLDEN_ROUND_STEPS`` steps may need
     (:func:`_golden_round`) as the rows of one such call.  Both fit through
     :func:`_misfits`, so a residual is, bit for bit, a one-row call's.
@@ -533,7 +538,8 @@ def identify_frequency(
         return _misfits(_pair_from_parts(system, field, upper, lower), measured)
 
     xs = _scan_grid(lo, hi, scan_points - 1)
-    fs = misfits(xs)
+    rows = max(1, MISFIT_BLOCK_LINES // (len(levels) - 1))
+    fs = np.concatenate([misfits(xs[i:i + rows]) for i in range(0, len(xs), rows)])
     f_min, f_max = float(fs.min()), float(fs.max())
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(

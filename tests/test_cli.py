@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import STEEP_CROSSINGS, crossing_scan_args
-from parabolic_mr import cli, crossing_scan, energy_level, gbar_critical
+from parabolic_mr import cli, crossing_scan, energy_level, gbar_critical, oracle
 from parabolic_mr.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PHYSICS,
+    EXIT_VALIDATION_FAILED,
     MAX_LEVEL_N,
     MAX_SCAN_STEPS,
     MAX_SPIN,
@@ -30,7 +31,7 @@ from parabolic_mr.cli import (
     run,
     write_csv,
 )
-from parabolic_mr.constants import ELECTRON_MASS, GAMMA_ELECTRON, TWO_PI
+from parabolic_mr.constants import ELECTRON_MASS, GAMMA_ELECTRON, HBAR, TWO_PI
 from parabolic_mr.core import FieldProfile, SpinSystem
 from parabolic_mr.oracle import MIN_TOL
 from parabolic_mr.spectroscopy import MAX_LINES, MAX_SCAN_EVALUATIONS, transition_lines
@@ -57,6 +58,11 @@ QUICKSTART = {
     "g": 0.002,
     "gbar": 40.0,
 }
+
+
+#: Base-config keys at which E(1, 0) nearly cancels (1.48e-41 J, about
+#: 1e-12 hbar*omega) while the other two levels stay of order hbar*omega.
+E_ZERO_CONFIG = {"b0": 1.99798970946e-6, "levels": [[1, 0], [0, 1], [-1, 2]], "tol": 1e-8}
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -178,6 +184,17 @@ class TestConfigBounds:
     def test_m_not_a_projection_rejected(self, tmp_path, capsys, command, key, value):
         path = write_config(tmp_path, gbar_min=0.0, gbar_max=1.0, **{key: value})
         assert f"key {key!r}" in assert_config_error(tmp_path, capsys, command, path)
+
+    @pytest.mark.parametrize(
+        "key, value, bad", [("levels", [[1.0, 0], [0.7, 0], [1.5, 0]], 0.7), ("fixed_m", 0.5, 0.5)]
+    )
+    def test_bad_projection_named_in_one_error_line(self, tmp_path, capsys, key, value, bad):
+        # the first bad M of the key, in the scalar check's words
+        path = write_config(tmp_path, **{key: value})
+        err = assert_config_error(tmp_path, capsys, "spectrum", path)
+        assert err == (
+            f"ERROR 2: key {key!r}: m_quantum={bad} is not a valid projection for spin=1.0\n"
+        )
 
     def test_non_finite_measured_lines_file_rejected(self, tmp_path):
         path = tmp_path / "lines.csv"
@@ -445,6 +462,34 @@ class TestLinesAndInvertCommands:
         config = write_config(tmp_path)
         assert run(["invert", "--config", config, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_invert_at_the_schema_limits_fits_in_one_gib(self, tmp_path):
+        # the largest spin and scan_points: 65536 x 1023 line energies, 512 MiB
+        # per array in one call; a child process limited to 1 GiB of address space
+        spin = MAX_SPIN
+        system = SpinSystem(*(BASE_CONFIG[k] for k in ("mass", "gamma")), spin,
+                            *(BASE_CONFIG[k] for k in ("omega", "offset")))
+        field = FieldProfile(BASE_CONFIG["b0"], BASE_CONFIG["g"], 0.01)
+        measured = [line.frequency_hz for line in transition_lines(system, field, 1)]
+        assert len(measured) == 1023
+        config = write_config(
+            tmp_path, spin=spin, gbar=0.01, fixed_n=1, measured_lines=measured,
+            bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
+            scan_points=MAX_SCAN_STEPS,
+        )
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from parabolic_mr.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "invert", "--config", config,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_PHYSICS), proc.stderr[-2000:]
+        assert proc.stderr.count("ERROR") <= 1 and "Traceback" not in proc.stderr
+
 
 @st.composite
 def steep_crossing_configs(draw):
@@ -573,6 +618,27 @@ class TestValidateCommand:
         path = write_config(tmp_path, **{key: 1e200})
         err = assert_config_error(tmp_path, capsys, "validate", path)
         assert "m_quantum=-1.0 cannot be resolved in double precision" in err
+
+    def test_level_near_zero_passes_on_its_oscillator_scale(self, tmp_path, capsys):
+        # E(1, 0) is about 1e-12 hbar*omega: 2% apart relative to |E|, yet
+        # within tol of its spacing
+        config = write_config(tmp_path, **E_ZERO_CONFIG)
+        out = tmp_path / "out"
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        payload = json.loads((out / "validation.json").read_text())
+        assert payload["passed"] is True and payload["max_rel_error"] > 1e-2
+
+    def test_mismatch_exits_1_with_its_report(self, tmp_path, capsys, monkeypatch):
+        # closed forms moved by 3 tol hbar*omega miss both |E| and the oscillator scale
+        shift = 3e-8 * HBAR * BASE_CONFIG["omega"]
+        monkeypatch.setattr(oracle, "energy_level", lambda *args: energy_level(*args) + shift)
+        config = write_config(tmp_path, **E_ZERO_CONFIG)
+        out = tmp_path / "out"
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_VALIDATION_FAILED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ERROR 1: validation failed")
+        assert json.loads((out / "validation.json").read_text())["passed"] is False
 
     def test_tol_below_floor_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, tol=0.5 * MIN_TOL)

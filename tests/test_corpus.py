@@ -194,7 +194,7 @@ CLI_SHA256 = {
     "spectrum": "45c41c730c42caa4d0a3108867fc10a62a29e214883e63622084274c46e0d931",
     "lines": "430704eb4c6b5a2a519ad592c89cd76e710b1d8afd2f780ca9ca851aef1c6682",
     "crossings": "e65d5f4051fcb7b98541d18440a5e145fd07b7e724bb2167bc6376a40c25b65a",
-    "validate": "016b831f5972b29ee8454d62b750efd5133218f95772ae434fe4c7491649667a",
+    "validate": "720860a1fec359a8f292e9c874d2ffbe866bd59e3a85ee48520841d575f5806a",
     "figure1": "557993c3ce56f01ca9445c5efd91c4c0c61595d6299dbcbba05d8a11b7d2a8e5",
 }
 
@@ -373,12 +373,13 @@ QUICKSTART = {
     "b0": 0.0, "g": 0.002, "gbar": 40.0,
 }
 
-#: Exit codes each subcommand's corpus reaches.
+#: Exit codes each subcommand's corpus reaches.  No config is known whose
+#: closed forms the oracle refutes, so none reaches validate's exit 1.
 CLI_EXITS = {
     "spectrum": {0, 2, 3},
     "lines": {0, 2, 3},
     "crossings": {0, 2, 3, 4},
-    "validate": {0, 1, 2, 3, 4},
+    "validate": {0, 2, 3, 4},
     "figure1": {0, 2, 3, 4},
 }
 
@@ -388,9 +389,10 @@ def cli_corpus(command):
 
     The contract base, the README quickstart and a pow-sensitive omega come
     first, then random traps (electron scans for ``crossings`` and
-    ``figure1``), then the fixed failures: an overflowing ``g`` (exit 2), a
-    dissociated trap (3), the steep scan's unconverged crossing (4), a
-    validation mismatch (1) and a sector that does not converge (4).
+    ``figure1``), then the fixed edge cases: an overflowing ``g`` (exit 2), a
+    dissociated trap (3), the steep scan's unconverged crossing (4), a level
+    near E = 0 that passes on its oscillator scale (0) and a sector that does
+    not converge (4).
     """
     rng = np.random.default_rng([2020, len(command)])
     base = dict(BASE, omega=pow_sensitive(BASE["omega"]))

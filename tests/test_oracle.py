@@ -406,6 +406,30 @@ class TestValidateLevels:
         for record in report.records:
             assert type(record.analytic_j) is float and type(record.numeric_j) is float
 
+    def test_level_near_zero_judged_on_its_oscillator_scale(self):
+        # E(1, 0) of this trap is about 1e-12 hbar*omega, and the oracle's
+        # 1e-14 hbar*omega gap to it is 2% of |E|
+        system = SpinSystem(mass=1e-26, gamma=5e10, spin=1.0, omega=2e5, offset=1e-6)
+        field = FieldProfile(1.99798970946e-6, 0.002, 10.0)
+        report = validate_levels(system, field, [(1.0, 0), (0.0, 1), (-1.0, 2)], tol=1e-8)
+        near_zero = next(r for r in report.records if r.m_quantum == 1.0)
+        assert abs(near_zero.analytic_j) < 1e-11 * HBAR * system.omega
+        assert near_zero.rel_error == report.max_rel_error > 1e-2
+        mbar = scaled_spin_number(system, field, 1.0)
+        assert near_zero.scale_j == pytest.approx(
+            HBAR * system.omega * math.sqrt(1.0 - mbar) * 0.5, rel=1e-15
+        )
+        assert report.converged and report.passed()
+
+    def test_mismatch_beyond_both_scales_fails(self, monkeypatch):
+        system, field = build_scenario(1e-26, 1.5e5, 7e10, 1.0, 0.3, 0.7, 0.5, 0.4)
+        levels = [(m, n) for m in system.levels() for n in range(2)]
+        shift = 3e-8 * HBAR * system.omega  # closed forms 3 tol hbar*omega off
+        monkeypatch.setattr(oracle, "energy_level", lambda *args: energy_level(*args) + shift)
+        report = validate_levels(system, field, levels, tol=1e-8)
+        assert report.converged and not report.passed()
+        assert json.loads(json.dumps(report.to_dict()))["passed"] is False
+
     def test_empty_levels_rejected(self):
         system = oscillator_system()
         with pytest.raises(ValueError):

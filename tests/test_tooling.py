@@ -1,8 +1,8 @@
 """Repository-level checks: the runtime dependency set, the public surface,
 where dissociation is decided and mbar derived, what the oracle imports, the
-argument checks of a crossing scan, the kernel calls of a scan and of an
-inversion, the one line misfit of the inversion, the one scan grid and one
-squaring, the CLI's one writer and one error line, the README's config-key
+argument checks of a crossing scan and of a scenario, the kernel calls of a
+scan and of an inversion, the one line misfit of the inversion, the one scan
+grid and one squaring, the CLI's one writer and one error line, the README's config-key
 table, the module entry point, the demo scripts and the benchmark harness and
 tracer."""
 
@@ -238,6 +238,26 @@ def test_cli_has_one_writer_and_one_error_line():
         and isinstance(node.ctx, ast.Load)
     ]
     assert uses == ["_ERROR_EXITS"]
+
+
+def test_scenario_checks_projections_once_per_key(monkeypatch):
+    # Scenario checks the M of ``levels`` in one array call and ``fixed_m``
+    # in another, however many levels a config lists
+    from parabolic_mr import cli
+    from parabolic_mr.core import FieldProfile, SpinSystem
+
+    checked = []
+
+    def counting(system, m):
+        checked.append(m)
+        return projection(system, m)
+
+    projection = cli._projection
+    monkeypatch.setattr(cli, "_projection", counting)
+    system = SpinSystem(mass=1e-26, gamma=5e10, spin=1.5, omega=2e5)
+    levels = tuple((m, n) for m in system.levels() for n in range(3))
+    cli.Scenario(system, FieldProfile(0.0, 0.002, 10.0), levels=levels, fixed_m=0.5)
+    assert [m.tolist() for m in checked] == [[m for m, _ in levels], [0.5]]
 
 
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
