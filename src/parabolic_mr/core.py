@@ -209,7 +209,7 @@ def _projection(system: SpinSystem, m: float) -> float:
         return mq
     mq = float(m)
     steps = system.spin - mq
-    if steps < 0.0 or mq < -system.spin or steps != round(steps):
+    if steps < 0.0 or mq < -system.spin or steps % 1.0 != 0.0:  # true for nan, as in arrays
         raise ValueError(
             f"m_quantum={mq} is not a valid projection for spin={system.spin}"
         )

@@ -16,10 +16,10 @@ Line lists, scans and the inversion derive each level's parts once and pair
 them: a line list in one array call, which names its worst unbound sector,
 paired as Python floats; a scan over numpy arrays whose level pairs are the
 rows of pair-grid blocks.  Crossing bisections and the inversion's
-golden-section searches run in rounds of one kernel call over the steps each
-predicts, keeping the scalar searches' points and comparisons.  Arguments are
-checked once per scan or line list, and each array element is bit-identical
-to the scalar evaluation.
+golden-section searches run in rounds over the steps each predicts, one
+kernel call per block, keeping the scalar searches' points and comparisons.
+Arguments are checked once per scan or line list, and each array element is
+bit-identical to the scalar evaluation.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ MAX_LINES = 2**18
 #: 2**24 take about 1 s and 130 MB, and the largest config would ask for 4e16.
 MAX_SCAN_EVALUATIONS = 2**24
 
-#: Most pair-grid points one kernel call of a ``crossing_scan`` evaluates, in
-#: whole pair rows; 2**13 (64 KB arrays) beat 2**12, 2**14 and 2**16.
+#: Most values one kernel call evaluates, in whole rows: a crossing scan's pair-grid
+#: points, the inversion's line values; 2**13 (64 KB arrays) beat 2**12, 2**14, 2**16.
 SCAN_BLOCK_POINTS = 2**13
 
 #: Bisection steps per bracketed crossing; a bracket still open after them is
@@ -73,11 +73,6 @@ MAX_BISECTION_STEPS = 200
 #: Bisection steps one round predicts per bracket; a guess from three grid
 #: points holds for a median 15 steps of the benchmark's scans.
 BISECTION_ROUND_STEPS = 20
-
-#: Most line energies one kernel call of the inversion's coarse scan evaluates,
-#: in whole rows of 2S lines: the largest config, 65536 points of 1023 lines,
-#: would otherwise take 512 MiB per array.
-MISFIT_BLOCK_LINES = 2**20
 
 #: Golden-section steps k one round covers; a basin adds the 2**k - 1 points
 #: they may need as rows (k = 4 beat 2, 3 and 5).
@@ -185,14 +180,7 @@ def transition_lines(
     if rule not in SELECTION_RULES:
         raise ValueError(f"unknown selection rule {rule!r} (expected one of {SELECTION_RULES})")
 
-    if rule == "deltaM1_fixed_n":
-        levels = [(mq, n) for mq in system.levels()]
-    elif rule == "deltaN1_fixed_M":
-        if m is None:
-            raise ValueError("rule deltaN1_fixed_M requires the fixed projection m")
-        mq = _projection(system, m)
-        levels = [(mq, j) for j in range(n + 2)]
-    else:  # all_pairs_within
+    if rule == "all_pairs_within":
         top = n if n_max is None else _require_int(n_max, "n_max")
         ladder = system.levels()
         size = len(ladder) * (top + 1)
@@ -201,9 +189,15 @@ def transition_lines(
                 f"all_pairs_within asks for {size * (size - 1) // 2} lines, more than {MAX_LINES}"
             )
         levels = [(mq, j) for mq in ladder for j in range(top + 1)]
-    if rule == "all_pairs_within":
-        pairs = itertools.combinations(range(len(levels)), 2)
+        pairs = itertools.combinations(range(size), 2)
     else:  # neighbours, the upper level first
+        if rule == "deltaM1_fixed_n":
+            levels = [(mq, n) for mq in system.levels()]
+        elif m is None:
+            raise ValueError("rule deltaN1_fixed_M requires the fixed projection m")
+        else:
+            mq = _projection(system, m)
+            levels = [(mq, j) for j in range(n + 2)]
         pairs = ((i + 1, i) for i in range(len(levels) - 1))
 
     ms, ns = np.array(levels, dtype=float).T
@@ -485,13 +479,13 @@ def identify_frequency(
     except omega, which is scanned over ``bracket`` (rad/s).  The RMS misfit
     between measured and model lines (matched in sorted order when the full
     2S-line set is given, otherwise to the nearest model line) is minimized
-    by a coarse scan followed by golden-section refinement to relative 1e-10.
-    The coarse scan evaluates its ``scan_points`` x 2S line energies in row
-    blocks of at most ``MISFIT_BLOCK_LINES``, one array call of the pair kernel
-    each, so its memory stays bounded; in each refinement round, the up to three
-    basins add the points their next ``GOLDEN_ROUND_STEPS`` steps may need
-    (:func:`_golden_round`) as the rows of one such call.  Both fit through
-    :func:`_misfits`, so a residual is, bit for bit, a one-row call's.
+    by a coarse scan of ``scan_points`` omegas, then golden-section rounds to
+    relative 1e-10 over the points the up to three basins' next
+    ``GOLDEN_ROUND_STEPS`` steps may need (:func:`_golden_round`).  Both take
+    one path: row blocks of at most ``SCAN_BLOCK_POINTS`` line values (an
+    omega's 2S, times the measured lines when matched to the nearest), one array
+    call each of the pair kernel and :func:`_misfits`, so memory stays bounded
+    and a residual is, bit for bit, a one-row call's.
 
     With g = gbar = 0 the line set carries no frequency information and the
     result comes back with ``identifiable=False`` ("homogeneous field"); the
@@ -524,22 +518,27 @@ def identify_frequency(
         raise InversionError("bracket does not contain optimum: entire bracket dissociated")
 
     levels = np.array(system_template.levels())
+    # an omega's line values: 2S, times the measured lines if nearest-matched
+    width = (len(levels) - 1) * (1 if len(measured) == len(levels) - 1 else len(measured))
+    rows = max(1, SCAN_BLOCK_POINTS // width)
 
     def misfits(omegas) -> np.ndarray:
         # at each omega, of level n's adjacent-M lines, the upper level first
-        # as transition_lines pairs them
-        try:
-            system = replace(system_template, omega=np.array(omegas)[:, None])
-        except ValueError:  # the template is valid, so only omega can be refused
-            message = "bracket ends must keep mass*omega**2 a positive finite double"
-            raise ValueError(message) from None
-        m, osc, shift = _level_parts(system, field, (levels, n))
-        upper, lower = (m[1:], osc[:, 1:], shift[:, 1:]), (m[:-1], osc[:, :-1], shift[:, :-1])
-        return _misfits(_pair_from_parts(system, field, upper, lower), measured)
+        # as transition_lines pairs them, in blocks of ``rows`` omegas
+        omegas, fits = np.array(omegas)[:, None], []
+        for start in range(0, len(omegas), rows):
+            try:
+                system = replace(system_template, omega=omegas[start:start + rows])
+            except ValueError:  # the template is valid, so only omega can be refused
+                message = "bracket ends must keep mass*omega**2 a positive finite double"
+                raise ValueError(message) from None
+            m, osc, shift = _level_parts(system, field, (levels, n))
+            upper, lower = (m[1:], osc[:, 1:], shift[:, 1:]), (m[:-1], osc[:, :-1], shift[:, :-1])
+            fits.append(_misfits(_pair_from_parts(system, field, upper, lower), measured))
+        return np.concatenate(fits)
 
     xs = _scan_grid(lo, hi, scan_points - 1)
-    rows = max(1, MISFIT_BLOCK_LINES // (len(levels) - 1))
-    fs = np.concatenate([misfits(xs[i:i + rows]) for i in range(0, len(xs), rows)])
+    fs = misfits(xs)
     f_min, f_max = float(fs.min()), float(fs.max())
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):
         return InversionResult(

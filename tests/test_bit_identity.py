@@ -415,6 +415,39 @@ def test_golden_rounds_match_the_scalar_search(monkeypatch):
     assert ends == {True, False} and ties > 20
 
 
+def test_inversion_blocks_match_the_scalar_search_on_nearest_lines(monkeypatch):
+    # 2S - 1 or 2S + 1 measured lines are each matched to the nearest model
+    # line, 2S x lines values an omega; blocks of 1, 7 and 100 omegas split
+    # the coarse scan and the golden rounds, and every misfit and the
+    # estimate keep the bits of the point-by-point search
+    rng = np.random.default_rng(31)
+    misfits, shapes = spectroscopy._misfits, []
+
+    def recording(delta_e, measured):
+        shapes.append(delta_e.shape)
+        return misfits(delta_e, measured)
+
+    monkeypatch.setattr(spectroscopy, "_misfits", recording)
+    for k in range(8):
+        system, field, _ = random_stable_scenario(rng)
+        n = int(rng.integers(0, 3))
+        lines = [l.frequency_hz for l in transition_lines(system, field, n)]
+        measured = lines[1:] if k % 2 and len(lines) > 1 else lines + lines[:1]
+        args = (measured, replace(system, omega=1.0), field, n,
+                (system.omega / 2.0, system.omega * 2.0))
+        estimate, rms, _, _ = scalar_identify_frequency(*args)
+        width = len(lines) * len(measured)
+        for rows in (1, 7, 100):
+            monkeypatch.setattr(spectroscopy, "SCAN_BLOCK_POINTS", (rows + 1) * width - 1)
+            shapes.clear()
+            got = identify_frequency(*args)
+            assert bits([got.omega_estimate, got.residual_rms_hz]).tolist() == bits(
+                [estimate, rms]
+            ).tolist()
+            assert max(shapes) == (rows, len(lines))
+            assert len(shapes) > 512 // rows
+
+
 #: SHA-256 of the default ``figure1`` outputs.  The scans are pinned to the
 #: bytes the point-by-point loops wrote; a changed digest must be explained
 #: in CHANGES.md.

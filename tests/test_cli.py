@@ -476,19 +476,39 @@ class TestLinesAndInvertCommands:
             bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
             scan_points=MAX_SCAN_STEPS,
         )
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-            "from parabolic_mr.cli import run\n"
-            "sys.exit(run(sys.argv[1:]))\n"
+        assert_invert_in_one_gib(config, tmp_path / "out")
+
+    def test_invert_nearest_matching_2_18_lines_fits_in_one_gib(self, tmp_path):
+        # an all_pairs_within lines.csv of 258840 lines at S = 5/2, each matched
+        # to the nearest of 5 model lines: 128 x 5 x 258840 values, 1.3 GB per
+        # array in one call
+        config = write_config(tmp_path, spin=2.5, rule="all_pairs_within", n_max=119)
+        out = tmp_path / "out"
+        assert run(["lines", "--config", config, "--out", str(out)]) == EXIT_OK
+        lines_file = str(out / "lines.csv")
+        assert len(read_lines_csv(lines_file)) == 258840
+        config = write_config(
+            tmp_path, spin=2.5, fixed_n=1, measured_lines_file=lines_file, scan_points=128,
+            bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "invert", "--config", config,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode in (EXIT_OK, EXIT_PHYSICS), proc.stderr[-2000:]
-        assert proc.stderr.count("ERROR") <= 1 and "Traceback" not in proc.stderr
+        assert_invert_in_one_gib(config, out)
+
+
+def assert_invert_in_one_gib(config, out):
+    """``invert`` in a child process limited to 1 GiB of address space ends in
+    exit code 0 or 3 with at most one error line and no traceback."""
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from parabolic_mr.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "invert", "--config", config, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_PHYSICS), proc.stderr[-2000:]
+    assert proc.stderr.count("ERROR") <= 1 and "Traceback" not in proc.stderr
 
 
 @st.composite

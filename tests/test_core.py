@@ -105,6 +105,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             energy_level(system, field, 0.5, 0)  # S - M not an integer
 
+    def test_nan_projection_refused_alike_as_scalar_and_array(self):
+        system = SpinSystem(1e-26, 5e10, 1.0, 2e5)
+        field = FieldProfile(0, 0, 0)
+        message = "m_quantum=nan is not a valid projection for spin=1.0"
+        for m in (float("nan"), np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                energy_level(system, field, m, 0)
+
 
 class TestSquare:
     def test_past_the_doubles_is_inf_without_exception_or_warning(self):

@@ -1,10 +1,10 @@
 """Repository-level checks: the runtime dependency set, the public surface,
 where dissociation is decided and mbar derived, what the oracle imports, the
 argument checks of a crossing scan and of a scenario, the kernel calls of a
-scan and of an inversion, the one line misfit of the inversion, the one scan
-grid and one squaring, the CLI's one writer and one error line, the README's config-key
-table, the module entry point, the demo scripts and the benchmark harness and
-tracer."""
+scan and of an inversion, the one line misfit and the one bounded evaluation
+path of the inversion, the one scan grid and one squaring, the CLI's one writer
+and one error line, the README's config-key table, the module entry point,
+the demo scripts and the benchmark harness and tracer."""
 
 import ast
 import glob
@@ -157,6 +157,35 @@ def test_inversion_has_one_line_misfit():
     tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
     assert not called(tops["identify_frequency"]) & {"transition_lines", "_make_line"}
     assert [name for name, top in tops.items() if "_square" in called(top)] == ["_misfits"]
+
+
+def test_inversion_evaluates_through_one_bounded_path():
+    # spectroscopy bounds its kernel calls by one block constant, and the
+    # inversion's coarse scan and golden rounds reach the kernel and the
+    # misfit only through its one closure, which blocks them by that constant
+    tree = _module_trees()["spectroscopy"]
+    constants = [
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    ]
+    assert [name for name in constants if "BLOCK" in name] == ["SCAN_BLOCK_POINTS"]
+    (inversion,) = [top for top in tree.body if getattr(top, "name", None) == "identify_frequency"]
+    closures = [node for node in ast.walk(inversion) if node is not inversion
+                and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [node.name for node in closures] == ["misfits"]
+
+    def kernel_calls(top):
+        return sorted(
+            name for node in ast.walk(top) if isinstance(node, ast.Call)
+            for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            if name in ("_level_parts", "_pair_from_parts", "_pair_delta_e", "_misfits")
+        )
+
+    assert kernel_calls(inversion) == kernel_calls(closures[0]) == [
+        "_level_parts", "_misfits", "_pair_from_parts"
+    ]
+    assert "SCAN_BLOCK_POINTS" in {node.id for node in ast.walk(inversion)
+                                   if isinstance(node, ast.Name)}
 
 
 def test_scan_conventions_are_written_once():
