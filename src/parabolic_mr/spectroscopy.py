@@ -48,10 +48,6 @@ from .errors import DissociationError, InversionError
 
 SELECTION_RULES = ("deltaM1_fixed_n", "deltaN1_fixed_M", "all_pairs_within")
 
-#: |delta E| dips below this fraction of the level scale without a sign flip
-#: are flagged as possible tangencies (even-order contacts are not crossings).
-TANGENCY_FRACTION = 1e-6
-
 #: Most lines ``all_pairs_within`` may build: it pairs every two of the
 #: (2S + 1)(n_max + 1) levels, one Python object per line; 261003 lines took
 #: 1.2-1.6 s and 78 MB of peak RSS on a 2 vCPU Xeon, and the largest config
@@ -112,8 +108,6 @@ class CrossingScanResult:
     crossings: tuple[CrossingPoint, ...]
     #: pairs degenerate over the whole scan ("degenerate, no isolated crossings")
     degenerate_pairs: tuple[tuple[tuple[float, int], tuple[float, int]], ...]
-    #: (gbar, pair) where |delta E| dipped below tolerance without a sign flip
-    tangency_candidates: tuple[tuple[float, tuple[tuple[float, int], tuple[float, int]]], ...]
 
 
 @dataclass(frozen=True)
@@ -240,23 +234,24 @@ def crossing_scan(
     Evaluates every pair's energy difference on a ``steps``-interval grid,
     brackets sign changes, and bisects each to relative gbar width 1e-10 and
     |E_a - E_b| < 1e-10 * max(|E_a|, |E_b|).  The range is clipped to the
-    intersection of all sectors' stability intervals; pairs that are
-    degenerate over the whole scan are reported separately, as are |delta E|
-    dips without a sign flip (possible tangencies).
+    intersection of all sectors' stability intervals.  The result holds the
+    crossings, sorted by gbar, and the pairs degenerate over the whole scan.
+    An even number of roots inside one grid interval (a touching pair, or two
+    close crossings) leaves no sign flip and is not reported; a finer
+    ``steps`` resolves it.
 
     The levels' M and n are checked in one array call each.  The pairs, in
     (i, j) order, are the rows of blocks of at most ``SCAN_BLOCK_POINTS``
     points, one kernel call each; more than ``MAX_SCAN_EVALUATIONS`` raise
     ``ValueError`` before any is evaluated.  One product of neighbouring
-    points' signs brackets a block's flips and gates its dips.  Every crossing,
-    grid zeros too, closes in the rounds of :func:`_bisect_crossings`,
-    bit-identical to the scalar calls; a frozen or step-capped one has
-    ``converged=False``.
+    points' signs brackets a block's flips.  Every crossing, grid zeros too,
+    closes in the rounds of :func:`_bisect_crossings`, bit-identical to the
+    scalar calls; a frozen or step-capped one has ``converged=False``.
     """
     levels = list(levels)
     if not levels:
         raise ValueError("empty level list")
-    if steps < 16:
+    if _require_int(steps, "steps") < 16:
         raise ValueError("steps must be at least 16")
     size = len(levels) * (len(levels) - 1) // 2 * (steps + 1)
     if size > MAX_SCAN_EVALUATIONS:
@@ -283,15 +278,13 @@ def crossing_scan(
         raise DissociationError("scan range entirely dissociated for the requested levels")
 
     g = _scan_grid(g_lo, g_hi, steps)
-    gs = g.tolist()
     g_scale = max(abs(g_lo), abs(g_hi))
     grid = replace(field_base, gbar=g)
-    e_abs = np.abs(energy_level(system, replace(field_base, gbar=gs[0]), ms, ns))
 
     first, second = np.triu_indices(len(level_list), 1)  # the pairs in (i, j) order
     pairs = [(level_list[i], level_list[j]) for i, j in zip(first.tolist(), second.tolist())]
     parts = _level_parts(system, grid, (ms[:, None], ns[:, None]))
-    degenerate, tangencies = [], []
+    degenerate = []
     brackets = []  # per block: pairs, a, b, d(a), d(b), guessed root; a == b at a grid zero
     block = max(1, SCAN_BLOCK_POINTS // (steps + 1))
     for start in range(0, len(pairs), block):
@@ -299,14 +292,8 @@ def crossing_scan(
         ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (rows_i, rows_j)))
         if not np.isfinite(ds).all():
             raise ValueError("level energy differences past double precision on the gbar range")
-        # per interval: < 0 at a sign flip, > 0 without one, 0 at a grid zero
-        turn = np.sign(ds[:, :-1]) * np.sign(ds[:, 1:])
-        # tangency candidates: |d| dips to a local minimum below
-        # TANGENCY_FRACTION of the level scale without changing sign
-        abs_ds = np.abs(ds)
-        small = abs_ds < TANGENCY_FRACTION * np.maximum(e_abs[rows_i], e_abs[rows_j])[:, None]
-        dips = (turn > 0.0) & (small[:, :-1] | small[:, 1:])
-        rows, lo = np.nonzero(turn < 0.0)
+        # the intervals whose ends' signs differ, neither end zero
+        rows, lo = np.nonzero(np.sign(ds[:, :-1]) * np.sign(ds[:, 1:]) < 0.0)
         hi = lo + 1
         zero = ds == 0.0
         if zero.any():
@@ -318,10 +305,6 @@ def crossing_scan(
             degenerate += [pairs[start + row] for row in np.flatnonzero(degenerate_rows)]
             rows_l, at = np.nonzero(landed)
             rows, lo, hi = (np.concatenate(c) for c in ([rows_l, rows], [at, lo], [at, lo + 1]))
-        if dips.any():
-            dips[:, 1:] &= (abs_ds[:, 1:-1] <= abs_ds[:, :-2]) & (abs_ds[:, 1:-1] <= abs_ds[:, 2:])
-            dips[:, [0, -1]] = False  # the end intervals lack a neighbour
-            tangencies += [(gs[idx], pairs[start + row]) for row, idx in zip(*np.nonzero(dips))]
         far = np.where(lo > 0, lo - 1, hi + 1)  # a third grid point beside the bracket
         x0, x1, x2 = g[lo], g[hi], g[far]
         y0, y1, y2 = ds[rows, lo], ds[rows, hi], ds[rows, far]
@@ -338,7 +321,7 @@ def crossing_scan(
         pair_levels = ms[first], ns[first], ms[second], ns[second]
         crossings = _bisect_crossings(system, field_base, pairs, pair_levels, brackets, g_scale)
     crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
-    return CrossingScanResult(tuple(crossings), tuple(degenerate), tuple(tangencies))
+    return CrossingScanResult(tuple(crossings), tuple(degenerate))
 
 
 def _bisect_crossings(
@@ -501,7 +484,7 @@ def identify_frequency(
     if system_template.spin == 0.0:
         raise ValueError("spin 0 has no adjacent-M lines to fit")
     n = _require_int(n)
-    if scan_points < 3:
+    if _require_int(scan_points, "scan_points") < 3:
         raise ValueError("scan_points must be at least 3")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):

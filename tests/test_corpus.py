@@ -183,7 +183,7 @@ def test_cli_invert_digest(tmp_path, capsys):
 OVERFLOW_LINES_SHA256 = "de54bef1c8c47cfe46dbed77151342248a41c8ba2e49fc774c7e718a129c4ead"
 
 #: SHA-256 over the outcomes of :func:`scan_corpus`, one per line.
-CROSSING_SCAN_SHA256 = "27ffabc08294a2b92409bc29a398639140db4208d5a1ad64a071f1240d022e56"
+CROSSING_SCAN_SHA256 = "b8ff151ad745143a711f1b5b2e2daf9b9a9e9ddf9a0f0f45dcb426ddb6895592"
 
 #: SHA-256 over the eigenvalue bytes and convergence record, or the error
 #: text, of each :func:`sector_corpus` call.

@@ -230,6 +230,16 @@ class TestCrossingScan:
         with pytest.raises(ValueError, match="steps"):
             crossing_scan(system, FieldProfile(0.0, 0.0, 0.0), (0.0, 1.0), [(0.5, 0), (1.5, 0)], steps=8)
 
+    @pytest.mark.parametrize("steps", [16.5, 64.0, 63.5, "64"])
+    def test_fractional_steps_rejected(self, steps):
+        # a fractional count would put the last grid point past the range's end
+        scenario = figure1_scenario()
+        with pytest.raises(ValueError, match="^steps must be a nonnegative integer$"):
+            crossing_scan(
+                scenario.system, scenario.field, (scenario.gbar_min, scenario.gbar_max),
+                scenario.all_levels(), steps=steps,
+            )
+
     def test_fully_dissociated_range_rejected(self):
         system = larmor_system()
         crit = gbar_critical(system)
@@ -484,6 +494,15 @@ class TestIdentifyFrequency:
         for points in (0, 1, 2):  # the coarse scan needs an interior point
             with pytest.raises(ValueError, match="scan_points"):
                 identify_frequency([1.0], system, field, 0, (1e4, 1e6), scan_points=points)
+
+    @pytest.mark.parametrize("points", [64.5, 64.0, 2.5])
+    def test_fractional_scan_points_rejected(self, points):
+        # a fractional count would evaluate omegas past the bracket's top
+        system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+        field = FieldProfile(0.0, 0.002, 40.0)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 1)]
+        with pytest.raises(ValueError, match="^scan_points must be a nonnegative integer$"):
+            identify_frequency(lines, system, field, 1, (5e4, 5e5), scan_points=points)
 
     @pytest.mark.parametrize("gbar, bracket", [
         (40.0, (1e-300, 1e300)),  # the floor clips the low end; 1e300 squares past the doubles

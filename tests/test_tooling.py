@@ -1,10 +1,10 @@
-"""Repository-level checks: the runtime dependency set, the public surface,
-where dissociation is decided and mbar derived, what the oracle imports, the
-argument checks of a crossing scan and of a scenario, the kernel calls of a
-scan and of an inversion, the one line misfit and the one bounded evaluation
-path of the inversion, the one scan grid and one squaring, the CLI's one writer
-and one error line, the README's config-key table, the module entry point,
-the demo scripts and the benchmark harness and tracer."""
+"""Repository-level checks: the runtime dependency set, the public surface
+and result fields, where dissociation is decided and mbar derived, what the
+oracle imports, the argument checks of a crossing scan and of a scenario, the
+kernel calls of a scan and of an inversion, the one line misfit and the one
+bounded evaluation path of the inversion, the one scan grid and one squaring,
+the CLI's one writer and one error line, the README's config-key table, the
+module entry point, the demo scripts and the benchmark harness and tracer."""
 
 import ast
 import glob
@@ -54,6 +54,31 @@ def test_public_names_are_pinned():
         "__version__",
     ])
     assert all(hasattr(parabolic_mr, name) for name in parabolic_mr.__all__)
+
+
+def test_public_result_fields_are_pinned():
+    # a result's fields change only on purpose, ValidationReport.converged
+    # too, which the benchmark reads: edit this table with them
+    import dataclasses
+
+    import parabolic_mr
+    from parabolic_mr import oracle
+
+    classes = [getattr(parabolic_mr, name) for name in (
+        "CrossingScanResult", "CrossingPoint", "TransitionLine", "InversionResult",
+        "ValidationReport",
+    )] + [oracle.LevelRecord, oracle.SectorConvergence]
+    assert {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in classes} == {
+        "CrossingScanResult": ["crossings", "degenerate_pairs"],
+        "CrossingPoint": ["gbar", "level_a", "level_b", "energy", "bracket_width", "converged"],
+        "TransitionLine": ["m_from", "n_from", "m_to", "n_to", "delta_e", "frequency_hz"],
+        "InversionResult": [
+            "omega_estimate", "residual_rms_hz", "bracket", "identifiable", "reason",
+        ],
+        "ValidationReport": ["records", "sectors", "tolerance", "converged", "max_rel_error"],
+        "LevelRecord": ["m_quantum", "n", "analytic_j", "numeric_j", "rel_error", "scale_j"],
+        "SectorConvergence": ["m_quantum", "grid", "converged", "refinements"],
+    }
 
 
 def _module_trees():
@@ -290,10 +315,9 @@ def test_scenario_checks_projections_once_per_key(monkeypatch):
 
 
 def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
-    # the scan checks the levels' M in one array call, the first grid point's
-    # energies check them once more as one array, and bisection checks none of its
-    # steps: only the energies of tested brackets go through energy_level
-    # and its check
+    # the scan checks the levels' M in one array call, and bisection checks
+    # none of its steps: only the energies of tested brackets go through
+    # energy_level and its check
     from parabolic_mr import core, spectroscopy
     from parabolic_mr.cli import figure1_scenario
 
@@ -320,23 +344,23 @@ def test_crossing_scan_checks_projections_once_per_scan(monkeypatch):
     result, count = scan()
     assert len(result.crossings) == 39 and all(c.converged for c in result.crossings)
     assert count <= 3 * len(levels) + 2 * len(result.crossings)
-    # no bracket closes within 10 or 20 steps: the count is the scan's call
-    # and the first grid point's, plus the last step's evaluation of the open
-    # brackets' energies, one per level of each pair
+    # no bracket closes within 10 or 20 steps: the count is the scan's call,
+    # plus the last step's evaluation of the open brackets' energies, one per
+    # level of each pair
     counts = []
     for cap in (10, 20):
         monkeypatch.setattr(spectroscopy, "MAX_BISECTION_STEPS", cap)
         result, count = scan()
         assert not any(c.converged for c in result.crossings)
         counts.append(count)
-    assert counts == [1 + 3] * 2
+    assert counts == [1 + 2] * 2
 
 
 def test_search_work_counts_are_pinned(monkeypatch):
     # the kernel calls of the default figure-1 scan and of the README
     # quickstart inversion, exact and host-independent: a change in them is a
     # change in work that the change log must explain.  Run step by step, the
-    # scan made 41 pair-kernel and 9 energy_level calls, the inversion 127
+    # scan made 41 pair-kernel and 8 energy_level calls, the inversion 127
     # pair-kernel and 43 _misfits calls.
     from parabolic_mr import FieldProfile, SpinSystem, spectroscopy, transition_lines
     from parabolic_mr.cli import figure1_scenario
@@ -354,10 +378,10 @@ def test_search_work_counts_are_pinned(monkeypatch):
         scenario.system, scenario.field, (scenario.gbar_min, scenario.gbar_max),
         scenario.all_levels(), steps=scenario.scan_steps,
     )
-    # 66 pairs x 257 points in 3 grid blocks, 2 bisection rounds; the first
-    # grid point's energies and one energy_level pair
+    # 66 pairs x 257 points in 3 grid blocks, 2 bisection rounds; one
+    # energy_level pair
     assert len(result.crossings) == 39
-    assert calls == {"_pair_from_parts": 3 + 2, "energy_level": 1 + 2}
+    assert calls == {"_pair_from_parts": 3 + 2, "energy_level": 0 + 2}
 
     system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
     field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
