@@ -251,10 +251,10 @@ def load_config(path: str, omega_unit_override: str | None = None) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object of key/value pairs")
+        raise ConfigError(f"config {path} must be a JSON object of key/value pairs")
 
     unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
@@ -296,7 +296,11 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def write_json(path: str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:  # strict RFC 8259 JSON, which has no inf or nan
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        name = os.path.basename(path)
+        raise ValueError(f"{name} would hold a value past double precision") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -306,7 +310,7 @@ def read_lines_csv(path: str) -> list[float]:
     try:
         with open(path, encoding="utf-8") as fh:
             rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read measured lines file {path}: {exc}") from exc
     if not rows or "freq_hz" not in rows[0]:
         raise ConfigError(f"measured lines file {path} has no freq_hz column")
@@ -438,11 +442,16 @@ def _cmd_invert(scenario: Scenario, args) -> None:
 
 
 def _cmd_validate(scenario: Scenario, args) -> None:
-    """Write the report, then raise :class:`ValidationFailed` on a mismatch."""
+    """Write the report, then raise :class:`ValidationFailed` on a mismatch.
+    Both lines name the error ``passed`` judges: the largest, over levels, of
+    the smaller of a level's |E| and oscillator-scale errors."""
     report = validate_levels(
         scenario.system, scenario.field, scenario.all_levels(), tol=scenario.tol
     )
-    worst = f"max_rel_error={report.max_rel_error:.3e}"
+    judged = max(
+        min(r.rel_error, abs(r.numeric_j - r.analytic_j) / r.scale_j) for r in report.records
+    )
+    worst = f"max_rel_error={report.max_rel_error:.3e} judged_error={judged:.3e}"
     _write(args.out, [("validation.json", write_json, (report.to_dict(),))], f" ({worst})")
     if not report.passed():
         raise ValidationFailed(f"validation failed ({worst} tol={scenario.tol:.3e})")

@@ -378,7 +378,8 @@ def energy_level(system: SpinSystem, field: FieldProfile, m: float, n: int) -> f
     slope = system.gamma * _gradient_at_offset(system, field) * mq / system.omega
     shift = slope * slope * HBAR
     try:
-        shift = shift / (2.0 * system.mass * system.omega * (1.0 - mbar))
+        with np.errstate(divide="ignore", invalid="ignore"):  # an array's inf or nan, unwarned
+            shift = shift / (2.0 * system.mass * system.omega * (1.0 - mbar))
     except ZeroDivisionError:  # a scalar divisor underflowed: an array's inf, or 0/0's nan
         shift = math.inf if shift else shift * math.inf
     return HBAR * system.omega * (quantum - zeeman - shift)

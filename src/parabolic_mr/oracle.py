@@ -28,9 +28,9 @@ about a hundred points reach 1e-11 relative for five levels.  Domains are
 sized so the analytic wavefunction tail at the grid edge is below 1e-16.
 
 ``converged_spectrum`` grows the point count 1.5x per step on a fixed domain
-until two successive solves agree; each solve is a dense symmetric
-eigendecomposition (LAPACK through ``numpy.linalg``), which is
-deterministic.
+until two successive solves agree, and records how near they came to that
+bound (``margin``); each solve is a dense symmetric eigendecomposition
+(LAPACK through ``numpy.linalg``), which is deterministic.
 
 This module validates the closed forms in :mod:`parabolic_mr.core`; it never
 calls them for the quantities under test (the potential above is typed out
@@ -117,12 +117,13 @@ class SectorMatrix:
 
 @dataclass(frozen=True)
 class SectorConvergence:
-    """Convergence record for one sector solve."""
+    """Convergence record of one sector solve; an unconverged one raises instead."""
 
     m_quantum: float
     #: grid of the last (converged) solve
     grid: Grid
-    converged: bool
+    #: largest |E_N - E_prev| of the last two solves in units of their bound, in [0, 1]
+    margin: float
     #: number of grid sizes solved, the converged one included
     refinements: int
 
@@ -145,8 +146,8 @@ class ValidationReport:
     A level passes when its error is below ``tolerance`` relative to |E| or
     at most ``tolerance`` times its oscillator scale, so a level near E = 0
     is judged on the scale of its spacing; the report passes when every
-    sector converged and every level passes.  ``max_rel_error`` is relative
-    to |E| alone.
+    level passes (an unconverged sector raises).  ``max_rel_error`` is
+    relative to |E| alone, inf at E = 0, which ``to_dict`` writes as null.
     """
 
     records: tuple[LevelRecord, ...]
@@ -156,17 +157,17 @@ class ValidationReport:
     max_rel_error: float
 
     def passed(self) -> bool:
-        return bool(self.converged and all(  # not numpy's bool
+        return all(
             r.rel_error < self.tolerance
             or abs(r.numeric_j - r.analytic_j) <= self.tolerance * r.scale_j
             for r in self.records
-        ))
+        )
 
     def to_dict(self) -> dict:
         return {
             "tolerance": self.tolerance,
             "converged": self.converged,
-            "max_rel_error": self.max_rel_error,
+            "max_rel_error": self.max_rel_error if math.isfinite(self.max_rel_error) else None,
             "passed": self.passed(),
             "records": [
                 {
@@ -174,7 +175,7 @@ class ValidationReport:
                     "n": r.n,
                     "analytic_J": r.analytic_j,
                     "numeric_J": r.numeric_j,
-                    "rel_error": r.rel_error,
+                    "rel_error": r.rel_error if math.isfinite(r.rel_error) else None,
                 }
                 for r in self.records
             ],
@@ -340,9 +341,10 @@ def converged_spectrum(
         values = lowest_eigenvalues(build_sector_hamiltonian(system, field, mq, grid), k)
         refinements += 1
         if previous is not None:
-            scale = np.maximum(np.abs(values), 0.5 * spacing)
-            if np.all(np.abs(values - previous) <= 0.1 * tol * scale):
-                report = SectorConvergence(mq, grid, True, refinements)
+            change = np.abs(values - previous)
+            bound = 0.1 * tol * np.maximum(np.abs(values), 0.5 * spacing)
+            if np.all(change <= bound):
+                report = SectorConvergence(mq, grid, float(np.max(change / bound)), refinements)
                 return HBAR * system.omega * values, report
         previous = values
         n_points = n_points * 3 // 2
@@ -386,10 +388,5 @@ def validate_levels(
             rel = abs(num - analytic) / abs(analytic) if abs(analytic) > 0.0 else math.inf
             records.append(LevelRecord(mq, n, analytic, num, rel, spacing_j * (n + 0.5)))
     max_rel = max(r.rel_error for r in records)
-    return ValidationReport(
-        tuple(records),
-        tuple(sectors),
-        tol,
-        all(s.converged for s in sectors),
-        max_rel,
-    )
+    # converged is True (an unconverged sector raised); bench/workloads.py's check reads it
+    return ValidationReport(tuple(records), tuple(sectors), tol, True, max_rel)

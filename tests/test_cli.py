@@ -382,6 +382,17 @@ class TestOverflowingScenarios:
         assert err == "ERROR 2: levels would hold a value past double precision\n"
         assert not out.exists()
 
+    def test_nan_closed_form_refused_by_validate(self, tmp_path, capsys):
+        # the zero-slope case above: the M = 1 closed form is 0/0's nan, which
+        # strict JSON cannot hold, so no report is written
+        system = SpinSystem(mass=1e-320, gamma=5e10, spin=1.0, omega=1e3)
+        gbar = gbar_critical(system) * (1.0 - 1e-9)
+        path = write_config(
+            tmp_path, mass=1e-320, omega=1e3, offset=0.0, b0=0.0, g=0.0, gbar=gbar, n_max=0
+        )
+        err = assert_config_error(tmp_path, capsys, "validate", path)
+        assert err == "ERROR 2: validation.json would hold a value past double precision\n"
+
     @pytest.mark.parametrize("cutoff", [{}, {"cutoff_hz": 1e15}])
     def test_infinite_lines_refused_with_or_without_cutoff(self, tmp_path, capsys, cutoff):
         path = write_config(tmp_path, g=1e200, **cutoff)
@@ -660,6 +671,40 @@ class TestValidateCommand:
         assert err.count("\n") == 1 and err.startswith("ERROR 1: validation failed")
         assert json.loads((out / "validation.json").read_text())["passed"] is False
 
+    def test_zero_energy_written_as_null(self, tmp_path, capsys):
+        # E(1, 0) is exactly 0 here: its rel_error is inf in the library and
+        # null in the file, which a strict parser reads
+        config = write_config(
+            tmp_path, offset=0.0, b0=2e-6, g=0.0, gbar=0.0, levels=[[1.0, 0], [1.0, 1]]
+        )
+        out = tmp_path / "out"
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert "max_rel_error=inf judged_error=" in capsys.readouterr().out
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        payload = json.loads((out / "validation.json").read_text(), parse_constant=refuse)
+        assert payload["passed"] is True and payload["max_rel_error"] is None
+        assert [r["rel_error"] is None for r in payload["records"]] == [True, False]
+
+    def test_output_names_the_judged_error(self, tmp_path, capsys, monkeypatch):
+        # the level near E = 0 is 2% off relative to |E| yet passes on its
+        # oscillator scale, so the judged error is far below max_rel_error
+        config = write_config(tmp_path, **E_ZERO_CONFIG)
+        out = tmp_path / "out"
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_OK
+        figures = r"\(max_rel_error=(\S+) judged_error=(\S+)[) ]"
+        rel, judged = map(float, re.search(figures, capsys.readouterr().out).groups())
+        assert rel > 1e-2 and judged < 1e-8
+        shift = 3e-8 * HBAR * BASE_CONFIG["omega"]
+        monkeypatch.setattr(oracle, "energy_level", lambda *args: energy_level(*args) + shift)
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_VALIDATION_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 1: validation failed (max_rel_error=")
+        rel, judged = map(float, re.search(figures, err).groups())
+        assert 1e-8 < judged < 1e-7
+
     def test_tol_below_floor_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, tol=0.5 * MIN_TOL)
         code = run(["validate", "--config", config, "--out", str(tmp_path / "out")])
@@ -705,6 +750,40 @@ class TestExitCodes:
         code = run(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("ERROR 2:")
+
+    @pytest.mark.parametrize(
+        "config, lines, named",
+        [
+            (b'{"mass": 1e-26,', None, "config"),
+            (b"[1.0, 2.0]", None, "config"),
+            (b'{"mass": 1e-26\xff}', None, "config"),
+            ({"measured_lines_file": 5}, None, "key 'measured_lines_file'"),
+            ({}, None, "measured_lines"),
+            ({"measured_lines_file": "LINES"}, None, "lines"),
+            ({"measured_lines_file": "LINES"}, b"M_from,n_from\n0.5,1\n", "lines"),
+            ({"measured_lines_file": "LINES"}, b"M_from,freq_hz\n", "lines"),
+            ({"measured_lines_file": "LINES"}, b"M_from,freq_hz\n0.5,1000.0\n-0.5\n", "lines"),
+            ({"measured_lines_file": "LINES"}, b"M_from,freq_hz\n0.5,1\xff00.0\n", "lines"),
+        ],
+        ids=[
+            "config-not-json", "config-array", "config-not-utf8", "lines-file-not-a-string",
+            "no-lines", "lines-missing", "lines-no-freq_hz", "lines-header-only",
+            "lines-short-row", "lines-not-utf8",
+        ],
+    )
+    def test_unreadable_input_named(self, tmp_path, capsys, config, lines, named):
+        # a bad config or measured-lines file, or a key, named in one ERROR 2 line
+        paths = {"config": tmp_path / "scenario.json", "lines": tmp_path / "lines.csv"}
+        if isinstance(config, dict):
+            config = dict(BASE_CONFIG, bracket_lo=1e5, bracket_hi=4e5, **config)
+            if config.get("measured_lines_file") == "LINES":
+                config["measured_lines_file"] = str(paths["lines"])
+            config = json.dumps(config).encode()
+        paths["config"].write_bytes(config)
+        if lines is not None:
+            paths["lines"].write_bytes(lines)
+        err = assert_config_error(tmp_path, capsys, "invert", str(paths["config"]))
+        assert str(paths.get(named, named)) in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == EXIT_CONFIG

@@ -187,14 +187,14 @@ CROSSING_SCAN_SHA256 = "b8ff151ad745143a711f1b5b2e2daf9b9a9e9ddf9a0f0f45dcb426dd
 
 #: SHA-256 over the eigenvalue bytes and convergence record, or the error
 #: text, of each :func:`sector_corpus` call.
-CONVERGED_SPECTRUM_SHA256 = "038b6915a9211165989b2c72930900b286092b051f0ce27760e17df410fca683"
+CONVERGED_SPECTRUM_SHA256 = "0cad48d4ee94ff76c83e429770e13b76d2311c7225dfe01454ca095863fbab77"
 
 #: SHA-256 over every run of :func:`cli_corpus`, by subcommand.
 CLI_SHA256 = {
     "spectrum": "45c41c730c42caa4d0a3108867fc10a62a29e214883e63622084274c46e0d931",
     "lines": "430704eb4c6b5a2a519ad592c89cd76e710b1d8afd2f780ca9ca851aef1c6682",
     "crossings": "e65d5f4051fcb7b98541d18440a5e145fd07b7e724bb2167bc6376a40c25b65a",
-    "validate": "720860a1fec359a8f292e9c874d2ffbe866bd59e3a85ee48520841d575f5806a",
+    "validate": "662ff824f3be849efaeca76a75ceb4f250f9faf002589c9e7384cd0ddd99b70e",
     "figure1": "557993c3ce56f01ca9445c5efd91c4c0c61595d6299dbcbba05d8a11b7d2a8e5",
 }
 
@@ -349,6 +349,7 @@ def sector_corpus():
 def test_converged_spectrum_corpus_digest():
     def solve(call):
         values, report = converged_spectrum(*call)
+        assert 0.0 <= report.margin <= 1.0  # the largest disagreement over its bound
         return f"{values.tobytes().hex()} {report!r}"
 
     outcomes = [outcome(lambda: solve(call)) for call in sector_corpus()]

@@ -77,7 +77,7 @@ def test_public_result_fields_are_pinned():
         ],
         "ValidationReport": ["records", "sectors", "tolerance", "converged", "max_rel_error"],
         "LevelRecord": ["m_quantum", "n", "analytic_j", "numeric_j", "rel_error", "scale_j"],
-        "SectorConvergence": ["m_quantum", "grid", "converged", "refinements"],
+        "SectorConvergence": ["m_quantum", "grid", "margin", "refinements"],
     }
 
 
