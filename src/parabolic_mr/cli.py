@@ -443,15 +443,11 @@ def _cmd_invert(scenario: Scenario, args) -> None:
 
 def _cmd_validate(scenario: Scenario, args) -> None:
     """Write the report, then raise :class:`ValidationFailed` on a mismatch.
-    Both lines name the error ``passed`` judges: the largest, over levels, of
-    the smaller of a level's |E| and oscillator-scale errors."""
+    Both lines name the report's ``judged_error``."""
     report = validate_levels(
         scenario.system, scenario.field, scenario.all_levels(), tol=scenario.tol
     )
-    judged = max(
-        min(r.rel_error, abs(r.numeric_j - r.analytic_j) / r.scale_j) for r in report.records
-    )
-    worst = f"max_rel_error={report.max_rel_error:.3e} judged_error={judged:.3e}"
+    worst = f"max_rel_error={report.max_rel_error:.3e} judged_error={report.judged_error():.3e}"
     _write(args.out, [("validation.json", write_json, (report.to_dict(),))], f" ({worst})")
     if not report.passed():
         raise ValidationFailed(f"validation failed ({worst} tol={scenario.tol:.3e})")
@@ -464,7 +460,7 @@ def _with_scan_range(scenario: Scenario) -> Scenario:
     if gbar_max is None:
         crit = gbar_critical(scenario.system)
         if math.isinf(crit):
-            raise ConfigError("gbar_max is required at spin 0 or gamma 0 (no dissociation bound)")
+            raise ConfigError("gbar_max is required: no finite dissociation bound")
         gbar_max = 0.999 * crit
     gbar_min = scenario.gbar_min
     if gbar_min is None:

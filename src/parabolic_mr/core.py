@@ -308,10 +308,10 @@ def effective_frequency(system: SpinSystem, field: FieldProfile, m: float) -> fl
 
 
 def gbar_critical(system: SpinSystem) -> float:
-    """Dissociation bound mass*omega^2 / (2*|gamma|*hbar*S); inf for S = 0 or gamma = 0."""
-    if system.spin == 0.0 or system.gamma == 0.0:
-        return math.inf
-    return system.mass * system._omega_squared / (2.0 * abs(system.gamma) * HBAR * system.spin)
+    """Dissociation bound mass*omega^2 / (2*|gamma|*hbar*S); inf where the
+    denominator is 0: S = 0, gamma = 0, or a product that underflows."""
+    denominator = 2.0 * abs(system.gamma) * HBAR * system.spin
+    return math.inf if denominator == 0.0 else system.mass * system._omega_squared / denominator
 
 
 def _omega_floor(system: SpinSystem, field: FieldProfile) -> float:

@@ -163,6 +163,13 @@ class ValidationReport:
             for r in self.records
         )
 
+    def judged_error(self) -> float:
+        """The error ``passed`` judges: the largest, over levels, of the smaller
+        of a level's |E| and oscillator-scale errors."""
+        return max(
+            min(r.rel_error, abs(r.numeric_j - r.analytic_j) / r.scale_j) for r in self.records
+        )
+
     def to_dict(self) -> dict:
         return {
             "tolerance": self.tolerance,
@@ -222,6 +229,8 @@ def auto_grid(
     mq = _projection(system, m)
     mbar = _bound_mbar(system, field, mq)
     lam = oscillator_length(system.mass, system.omega)
+    if lam == 0.0:
+        raise ValueError(f"grid of m_quantum={mq} cannot be resolved: oscillator length underflows")
     gradient = field.g + 2.0 * field.gbar * system.offset
     shift = system.gamma * gradient * HBAR * mq / (system.mass * system.omega**2 * (1.0 - mbar))
     u_center = (system.offset + shift) / lam

@@ -54,8 +54,8 @@ SELECTION_RULES = ("deltaM1_fixed_n", "deltaN1_fixed_M", "all_pairs_within")
 #: would ask for about 5e11.
 MAX_LINES = 2**18
 
-#: Most pair-grid points a ``crossing_scan`` may evaluate, pairs x (steps + 1):
-#: 2**24 take about 1 s and 130 MB, and the largest config would ask for 4e16.
+#: Most pair-grid points a ``crossing_scan`` may evaluate, pairs x (steps + 1): 984906 x 17,
+#: 484890 crossings, took 7.4 s and 356 MB on a 2 vCPU Xeon; the largest config asks 4e16.
 MAX_SCAN_EVALUATIONS = 2**24
 
 #: Most values one kernel call evaluates, in whole rows: a crossing scan's pair-grid
@@ -245,8 +245,9 @@ def crossing_scan(
     points, one kernel call each; more than ``MAX_SCAN_EVALUATIONS`` raise
     ``ValueError`` before any is evaluated.  One product of neighbouring
     points' signs brackets a block's flips.  Every crossing, grid zeros too,
-    closes in the rounds of :func:`_bisect_crossings`, bit-identical to the
-    scalar calls; a frozen or step-capped one has ``converged=False``.
+    closes in the rounds of :func:`_bisect_crossings`, whose calls also stay
+    within ``SCAN_BLOCK_POINTS`` points, bit-identical to the scalar calls; a
+    frozen or step-capped one has ``converged=False``.
     """
     levels = list(levels)
     if not levels:
@@ -282,14 +283,13 @@ def crossing_scan(
     grid = replace(field_base, gbar=g)
 
     first, second = np.triu_indices(len(level_list), 1)  # the pairs in (i, j) order
-    pairs = [(level_list[i], level_list[j]) for i, j in zip(first.tolist(), second.tolist())]
     parts = _level_parts(system, grid, (ms[:, None], ns[:, None]))
     degenerate = []
-    brackets = []  # per block: pairs, a, b, d(a), d(b), guessed root; a == b at a grid zero
+    brackets = []  # per block: i, j, a, b, d(a), d(b), guessed root; a == b at a grid zero
     block = max(1, SCAN_BLOCK_POINTS // (steps + 1))
-    for start in range(0, len(pairs), block):
-        rows_i, rows_j = first[start:start + block], second[start:start + block]
-        ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (rows_i, rows_j)))
+    for start in range(0, len(first), block):
+        i, j = first[start:start + block], second[start:start + block]
+        ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (i, j)))
         if not np.isfinite(ds).all():
             raise ValueError("level energy differences past double precision on the gbar range")
         # the intervals whose ends' signs differ, neither end zero
@@ -299,10 +299,10 @@ def crossing_scan(
         if zero.any():
             # a pair lands on zero at the first point or from a nonzero
             # neighbour; one that is zero everywhere is degenerate
-            degenerate_rows = zero.all(axis=1)
-            landed = zero & ~degenerate_rows[:, None]
+            flat = zero.all(axis=1)
+            landed = zero & ~flat[:, None]
             landed[:, 1:] &= ~zero[:, :-1]
-            degenerate += [pairs[start + row] for row in np.flatnonzero(degenerate_rows)]
+            degenerate += [(level_list[a], level_list[b]) for a, b in zip(i[flat], j[flat])]
             rows_l, at = np.nonzero(landed)
             rows, lo, hi = (np.concatenate(c) for c in ([rows_l, rows], [at, lo], [at, lo + 1]))
         far = np.where(lo > 0, lo - 1, hi + 1)  # a third grid point beside the bracket
@@ -313,24 +313,25 @@ def crossing_scan(
         with np.errstate(all="ignore"):
             guess = x0 * y1 * y2 / ((y0 - y1) * (y0 - y2)) + x1 * y0 * y2 / (
                 (y1 - y0) * (y1 - y2)) + x2 * y0 * y1 / ((y2 - y0) * (y2 - y1))
-        brackets.append((start + rows, x0, x1, y0, y1, guess))
+        brackets.append((i[rows], j[rows], x0, x1, y0, y1, guess))
 
-    brackets = tuple(np.concatenate(column) for column in zip(*brackets))
+    columns = [np.concatenate(column) for column in zip(*brackets)]
+    chunk = max(1, SCAN_BLOCK_POINTS // BISECTION_ROUND_STEPS)  # brackets per round call
     crossings = []
-    if brackets and len(brackets[0]):
-        pair_levels = ms[first], ns[first], ms[second], ns[second]
-        crossings = _bisect_crossings(system, field_base, pairs, pair_levels, brackets, g_scale)
+    for start in range(0, sum(len(block_i) for block_i, *_ in brackets), chunk):
+        chunk_columns = [column[start:start + chunk] for column in columns]
+        crossings += _bisect_crossings(system, field_base, (ms, ns), chunk_columns, g_scale)
     crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
     return CrossingScanResult(tuple(crossings), tuple(degenerate))
 
 
 def _bisect_crossings(
-    system: SpinSystem, field_base: FieldProfile, pairs, levels, brackets, g_scale: float
+    system: SpinSystem, field_base: FieldProfile, levels, brackets, g_scale: float
 ) -> list[CrossingPoint]:
-    """Bisect the columns (pair, a, b, d(a), d(b), guessed root) of
-    ``brackets``, d = E_a - E_b, of ``pairs`` with (M, n, M, n) arrays
-    ``levels``, in rounds of the scalar bisection's steps: d at ``0.5 * (a +
-    b)`` picks the half keeping the sign change; a step within width 1e-10 *
+    """Bisect the columns (i, j, a, b, d(a), d(b), guessed root) of ``brackets``,
+    d = E_i - E_j of levels i and j of the (M, n) arrays ``levels``, in rounds
+    of the scalar bisection's steps: d at ``0.5 * (a + b)`` picks the half
+    keeping the sign change, whose sign d has at a; a step within width 1e-10 *
     max(|a|, |b|, g_scale), at d = 0, or after ``MAX_BISECTION_STEPS`` compares
     energies and closes if converged (|E_a - E_b| <= 1e-10 * max(|E_a|, |E_b|)
     within the width, or d = 0), frozen (no double between a and b) or last;
@@ -339,9 +340,8 @@ def _bisect_crossings(
     in one pair-kernel call and its tested steps in one ``energy_level`` pair,
     and keeps the prefix up to the first wrong guess; the next guess is the
     false-position root at the ends after it."""
-    pair, a, b, d_a, d_b, guess = brackets
-    positive = d_a > 0.0  # d keeps this sign at a
-    m_a, n_a, m_b, n_b = (column[pair] for column in levels)
+    ms, ns = levels
+    i, j, a, b, d_a, d_b, guess = brackets
     taken = np.zeros(len(a), dtype=int)  # steps each bracket has taken
     found = []
     for _ in range(MAX_BISECTION_STEPS + 1):  # a round takes at least one step
@@ -353,10 +353,10 @@ def _bisect_crossings(
             ends_b.append(np.where(ahead, ends_b[-1], mid))
         path_a, path_b = np.array(ends_a), np.array(ends_b)
         mid, width = 0.5 * (path_a + path_b), path_b - path_a
-        fm = _pair_delta_e(system, replace(field_base, gbar=mid), (m_a, n_a), (m_b, n_b))
+        fm = _pair_delta_e(system, replace(field_base, gbar=mid), (ms[i], ns[i]), (ms[j], ns[j]))
         step = np.arange(BISECTION_ROUND_STEPS)[:, None]
         last = taken + step == MAX_BISECTION_STEPS
-        right = (fm > 0.0) == positive  # the sign change lies right of mid
+        right = (fm > 0.0) == (d_a > 0.0)  # the sign change lies right of mid
         # a bracket stops at its first wrong guess, or at its round's or its own last step
         final = np.minimum(BISECTION_ROUND_STEPS - 1, MAX_BISECTION_STEPS - taken)
         stop = ((right != (mid < guess)) | (step == final)).argmax(axis=0)
@@ -365,8 +365,8 @@ def _bisect_crossings(
         shut = np.full(len(a), BISECTION_ROUND_STEPS)  # the step each bracket closes at
         if len(cols):
             field = replace(field_base, gbar=mid[steps, cols])
-            e_a = energy_level(system, field, m_a[cols], n_a[cols])
-            e_b = energy_level(system, field, m_b[cols], n_b[cols])
+            e_a = energy_level(system, field, ms[i[cols]], ns[i[cols]])
+            e_b = energy_level(system, field, ms[j[cols]], ns[j[cols]])
             energy_ok = np.abs(e_a - e_b) <= 1e-10 * np.maximum(np.abs(e_a), np.abs(e_b))
             converged = (width_ok[steps, cols] & energy_ok) | (fm[steps, cols] == 0.0)
             frozen = (mid == path_a) | (mid == path_b)
@@ -374,8 +374,9 @@ def _bisect_crossings(
             np.minimum.at(shut, cols[closing], steps[closing])  # its first closing step
             closing = closing[steps[closing] == shut[cols[closing]]]
             k, col = steps[closing], cols[closing]
-            found += [CrossingPoint(gbar, *pairs[p], e, w, ok) for gbar, p, e, w, ok in zip(
-                mid[k, col].tolist(), pair[col].tolist(), e_a[closing].tolist(),
+            labels = [list(zip(ms[c].tolist(), ns[c].tolist())) for c in (i[col], j[col])]
+            found += [CrossingPoint(*point) for point in zip(
+                mid[k, col].tolist(), *labels, e_a[closing].tolist(),
                 width[k, col].tolist(), converged[closing].tolist(),
             )]
         # an end after the stop step is the midpoint of the last step that moved it
@@ -387,9 +388,8 @@ def _bisect_crossings(
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = a - d_a * (b - a) / (d_b - d_a)
         open_ = shut == BISECTION_ROUND_STEPS
-        pair, a, b, d_a, d_b, guess, positive, m_a, n_a, m_b, n_b, taken = (
-            column[open_] for column in
-            (pair, a, b, d_a, d_b, guess, positive, m_a, n_a, m_b, n_b, taken + stop + 1)
+        i, j, a, b, d_a, d_b, guess, taken = (
+            column[open_] for column in (i, j, a, b, d_a, d_b, guess, taken + stop + 1)
         )
         if not len(a):
             break

@@ -27,7 +27,7 @@ from parabolic_mr import (
     transition_lines,
 )
 from parabolic_mr import spectroscopy
-from parabolic_mr.cli import run
+from parabolic_mr.cli import figure1_scenario, run
 from parabolic_mr.constants import HBAR, TWO_PI
 from parabolic_mr.core import _square
 from parabolic_mr.spectroscopy import _misfits, _pair_delta_e
@@ -326,6 +326,34 @@ def test_crossing_rounds_match_scalar_bisection_at_their_boundaries(monkeypatch)
             assert list(got.degenerate_pairs) == degenerate
             found += len(want)
     assert found > 100
+
+
+def test_crossing_scan_kernel_calls_stay_within_a_block(monkeypatch):
+    # with blocks of 64 values, no pair-kernel or energy_level call of the
+    # figure-1 scan evaluates more than max(64, one grid row) values, bisection
+    # rounds included, and the crossings keep the bits of the unblocked scan
+    scenario = figure1_scenario()
+    args = (scenario.system, scenario.field, (scenario.gbar_min, scenario.gbar_max),
+            scenario.all_levels(), scenario.scan_steps)
+    want = crossing_scan(*args)
+    sizes = {}
+
+    def recording(name, kernel):
+        def call(*call_args):
+            result = kernel(*call_args)
+            sizes.setdefault(name, []).append(np.size(result))
+            return result
+        return call
+
+    for name in ("_pair_delta_e", "_pair_from_parts", "energy_level"):
+        monkeypatch.setattr(spectroscopy, name, recording(name, getattr(spectroscopy, name)))
+    monkeypatch.setattr(spectroscopy, "SCAN_BLOCK_POINTS", 64)
+    got = crossing_scan(*args)
+    assert crossing_fields(got.crossings) == crossing_fields(want.crossings)
+    assert list(got.degenerate_pairs) == list(want.degenerate_pairs)
+    assert len(want.crossings) > 64 // spectroscopy.BISECTION_ROUND_STEPS  # several chunks
+    assert sorted(sizes) == ["_pair_delta_e", "_pair_from_parts", "energy_level"]
+    assert max(max(values) for values in sizes.values()) <= max(64, scenario.scan_steps + 1)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

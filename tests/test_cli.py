@@ -487,7 +487,7 @@ class TestLinesAndInvertCommands:
             bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
             scan_points=MAX_SCAN_STEPS,
         )
-        assert_invert_in_one_gib(config, tmp_path / "out")
+        assert_in_one_gib("invert", config, tmp_path / "out", (EXIT_OK, EXIT_PHYSICS))
 
     def test_invert_nearest_matching_2_18_lines_fits_in_one_gib(self, tmp_path):
         # an all_pairs_within lines.csv of 258840 lines at S = 5/2, each matched
@@ -502,12 +502,13 @@ class TestLinesAndInvertCommands:
             tmp_path, spin=2.5, fixed_n=1, measured_lines_file=lines_file, scan_points=128,
             bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
         )
-        assert_invert_in_one_gib(config, out)
+        assert_in_one_gib("invert", config, out, (EXIT_OK, EXIT_PHYSICS))
 
 
-def assert_invert_in_one_gib(config, out):
-    """``invert`` in a child process limited to 1 GiB of address space ends in
-    exit code 0 or 3 with at most one error line and no traceback."""
+def assert_in_one_gib(command, config, out, exits):
+    """``command`` in a child process limited to 1 GiB of address space ends
+    in one of the exit codes ``exits`` with at most one error line and no
+    traceback."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
@@ -515,10 +516,10 @@ def assert_invert_in_one_gib(config, out):
         "sys.exit(run(sys.argv[1:]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child, "invert", "--config", config, "--out", str(out)],
+        [sys.executable, "-c", child, command, "--config", config, "--out", str(out)],
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode in (EXIT_OK, EXIT_PHYSICS), proc.stderr[-2000:]
+    assert proc.returncode in exits, proc.stderr[-2000:]
     assert proc.stderr.count("ERROR") <= 1 and "Traceback" not in proc.stderr
 
 
@@ -597,6 +598,22 @@ class TestCrossingsCommand:
         path = write_config(tmp_path, spin=10.0, n_max=40, gbar_min=0.0, gbar_max=1.0)
         err = assert_config_error(tmp_path, capsys, command, path)
         assert f"24064950 pair-grid points, more than {MAX_SCAN_EVALUATIONS}" in err
+
+    def test_scan_of_724206_pairs_fits_in_one_gib(self, tmp_path):
+        # the figure-1 trap at n_max 300, 4 x 301 levels over 0.999 of the
+        # bound on either side: 357143 crossings to bisect, 20 points each per round
+        scenario = figure1_scenario()
+        system, field = scenario.system, scenario.field
+        top = 0.999 * gbar_critical(system)
+        config = write_config(
+            tmp_path, mass=system.mass, gamma=system.gamma, spin=system.spin,
+            omega=system.omega, offset=system.offset, b0=field.b0, g=field.g, gbar=0.0,
+            n_max=300, scan_steps=16, gbar_min=-top, gbar_max=top,
+        )
+        out = tmp_path / "out"
+        assert_in_one_gib("crossings", config, out, (EXIT_OK,))
+        with open(out / "crossings.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 357143 + 1
 
     @given(config=steep_crossing_configs())
     @example(config=STEEP_CROSSINGS)
@@ -728,12 +745,16 @@ class TestFigure1Command:
         path = write_config(tmp_path, gbar_min=100.0, gbar_max=50.0)
         assert_config_error(tmp_path, capsys, "figure1", path)
 
-    @pytest.mark.parametrize("key", ["spin", "gamma"])
-    def test_unbounded_trap_needs_gbar_max(self, tmp_path, capsys, key):
-        # spin 0 or gamma 0: gbar_critical is infinite, so no default range
-        path = write_config(tmp_path, **{key: 0.0})
+    @pytest.mark.parametrize(
+        "key, value", [("spin", 0.0), ("gamma", 0.0), ("gamma", 5e-324)],
+        ids=["spin", "gamma", "gamma_underflows"],
+    )
+    def test_unbounded_trap_needs_gbar_max(self, tmp_path, capsys, key, value):
+        # spin 0, gamma 0, or a bound whose 2 |gamma| hbar S underflows to 0:
+        # gbar_critical is infinite, so no default range
+        path = write_config(tmp_path, **{key: value})
         assert "gbar_max is required" in assert_config_error(tmp_path, capsys, "figure1", path)
-        path = write_config(tmp_path, name="ranged.json", gbar_max=100.0, **{key: 0.0})
+        path = write_config(tmp_path, name="ranged.json", gbar_max=100.0, **{key: value})
         assert run(["figure1", "--config", path, "--out", str(tmp_path / "ranged")]) == EXIT_OK
 
     def test_defaults_match_expected_scenario(self):
@@ -920,6 +941,8 @@ OUT_OF_RANGE = {
     "sample_half_length": ("1e-9", "-1.0"),
     # omega**2 overflows, and mass * omega**2 underflows to zero
     "omega": ("1e200", "1e-170"),
+    # the oscillator length sqrt(hbar / (mass * omega)) underflows to zero
+    "mass": ("1e290",),
     # energies, lines or the inversion's misfit overflow
     "b0": ("1e200",),
     "g": ("1e200",),

@@ -195,7 +195,7 @@ CLI_SHA256 = {
     "lines": "430704eb4c6b5a2a519ad592c89cd76e710b1d8afd2f780ca9ca851aef1c6682",
     "crossings": "e65d5f4051fcb7b98541d18440a5e145fd07b7e724bb2167bc6376a40c25b65a",
     "validate": "662ff824f3be849efaeca76a75ceb4f250f9faf002589c9e7384cd0ddd99b70e",
-    "figure1": "557993c3ce56f01ca9445c5efd91c4c0c61595d6299dbcbba05d8a11b7d2a8e5",
+    "figure1": "767f152cf405f55eee99044456b3db052274b7f04a0b15f3b2e01dc59a561c9f",
 }
 
 
