@@ -29,17 +29,7 @@ from .errors import (
     PhysicsError,
     UnidentifiableError,
 )
-from .oracle import (
-    Grid,
-    SectorMatrix,
-    ValidationReport,
-    auto_grid,
-    build_sector_hamiltonian,
-    converged_spectrum,
-    expectation_position,
-    lowest_eigenpairs,
-    validate_levels,
-)
+from .oracle import ValidationReport, converged_spectrum, validate_levels
 from .spectroscopy import (
     CrossingPoint,
     CrossingScanResult,
@@ -75,14 +65,8 @@ __all__ = [
     "InversionError",
     "PhysicsError",
     "UnidentifiableError",
-    "Grid",
-    "SectorMatrix",
     "ValidationReport",
-    "auto_grid",
-    "build_sector_hamiltonian",
     "converged_spectrum",
-    "expectation_position",
-    "lowest_eigenpairs",
     "validate_levels",
     "CrossingPoint",
     "CrossingScanResult",

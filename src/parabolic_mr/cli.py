@@ -536,7 +536,7 @@ def run(argv) -> int:
         scenario = None
         if args.config is not None:
             scenario = load_config(args.config, args.omega_unit)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ERROR, not a warning
+        with np.errstate(all="ignore"):  # ERROR, not a warning
             _COMMANDS[args.command](scenario, args)
         return EXIT_OK
     except tuple(_ERROR_EXITS) as exc:

@@ -61,7 +61,7 @@ def _square(x):
     bit-identical to scalar ones.  No square raises an exception or a warning.
     """
     if isinstance(x, ndarray):
-        with np.errstate(over="ignore"):
+        with np.errstate(all="ignore"):
             return np.float_power(x, 2.0)
     try:
         return x**2
@@ -298,7 +298,9 @@ def _sector(system: SpinSystem, field: FieldProfile, mq: float):
 
 def scaled_spin_number(system: SpinSystem, field: FieldProfile, m: float) -> float:
     """mbar = 2*gamma*gbar*hbar*M / (omega^2 * mass); may carry either sign."""
-    return _mbar(system, field, _projection(system, m))
+    mq = _projection(system, m)
+    with np.errstate(all="ignore"):
+        return _mbar(system, field, mq)
 
 
 def effective_frequency(system: SpinSystem, field: FieldProfile, m: float) -> float:
@@ -371,18 +373,18 @@ def energy_level(system: SpinSystem, field: FieldProfile, m: float, n: int) -> f
     """
     mq = _projection(system, m)
     n = _require_int(n)
-    mbar, root = _sector(system, field, mq)
-    # Dimensionless pieces in units of hbar*omega; scale back once at the end.
-    quantum = root * (n + 0.5)
-    zeeman = system.gamma * _field_at_offset(system, field) * mq / system.omega
-    slope = system.gamma * _gradient_at_offset(system, field) * mq / system.omega
-    shift = slope * slope * HBAR
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):  # an array's inf or nan, unwarned
+    with np.errstate(all="ignore"):
+        mbar, root = _sector(system, field, mq)
+        # Dimensionless pieces in units of hbar*omega; scale back once at the end.
+        quantum = root * (n + 0.5)
+        zeeman = system.gamma * _field_at_offset(system, field) * mq / system.omega
+        slope = system.gamma * _gradient_at_offset(system, field) * mq / system.omega
+        shift = slope * slope * HBAR
+        try:
             shift = shift / (2.0 * system.mass * system.omega * (1.0 - mbar))
-    except ZeroDivisionError:  # a scalar divisor underflowed: an array's inf, or 0/0's nan
-        shift = math.inf if shift else shift * math.inf
-    return HBAR * system.omega * (quantum - zeeman - shift)
+        except ZeroDivisionError:  # a scalar divisor underflowed: an array's inf, or 0/0's nan
+            shift = math.inf if shift else shift * math.inf
+        return HBAR * system.omega * (quantum - zeeman - shift)
 
 
 def energy_decomposition(

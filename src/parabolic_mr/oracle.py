@@ -274,11 +274,12 @@ def build_sector_hamiltonian(
     x = lam * u
     a = system.offset
     # V_M(x)/(hbar*omega): trap term in grid units plus the spin-field coupling
-    trap = 0.5 * (u - a / lam) ** 2
-    coupling = (system.gamma * mq / system.omega) * (
-        field.b0 + field.g * x + field.gbar * x * x
-    )
-    v = trap - coupling
+    with np.errstate(all="ignore"):
+        trap = 0.5 * (u - a / lam) ** 2
+        coupling = (system.gamma * mq / system.omega) * (
+            field.b0 + field.g * x + field.gbar * x * x
+        )
+        v = trap - coupling
     if not np.all(np.isfinite(v)):
         raise ValueError("potential not finite on the grid domain")
     hamiltonian = _kinetic_matrix(grid.n_points, grid.du)

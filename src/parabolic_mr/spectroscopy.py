@@ -195,7 +195,7 @@ def transition_lines(
         pairs = ((i + 1, i) for i in range(len(levels) - 1))
 
     ms, ns = np.array(levels, dtype=float).T
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+    with np.errstate(all="ignore"):
         _, osc, shift = _level_parts(system, field, (ms, ns))
     parts = list(zip(ms.tolist(), osc.tolist(), shift.tolist()))
     lines = []
@@ -216,10 +216,8 @@ def transition_lines(
 
 
 def _scan_grid(lo: float, hi: float, intervals: int) -> np.ndarray:
-    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan;
-    like Python floats, a range past the doubles gives inf or nan silently."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return lo + (hi - lo) * np.arange(intervals + 1) / intervals
+    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan."""
+    return lo + (hi - lo) * np.arange(intervals + 1) / intervals
 
 
 def crossing_scan(
@@ -266,63 +264,63 @@ def crossing_scan(
     if not (g_lo < g_hi):
         raise ValueError("gbar_range must be an increasing pair")
 
-    # sector M is bound while gbar * slope < 1, i.e. on zero's side of 1/slope
-    slopes = _mbar(system, replace(field_base, gbar=1.0), ms)  # mbar per unit gbar
-    bounds = 1.0 / slopes[slopes != 0.0]
-    lo_allowed = float(bounds[bounds < 0.0].max(initial=-math.inf))
-    hi_allowed = float(bounds[bounds >= 0.0].min(initial=math.inf))
-    finite = [abs(bound) for bound in (lo_allowed, hi_allowed) if math.isfinite(bound)]
-    margin = 1e-12 * max(finite + [1.0])  # an unbounded side sets no scale
-    g_lo = max(g_lo, lo_allowed + margin)
-    g_hi = min(g_hi, hi_allowed - margin)
-    if not (g_lo < g_hi):
-        raise DissociationError("scan range entirely dissociated for the requested levels")
+    with np.errstate(all="ignore"):
+        # sector M is bound while gbar * slope < 1, i.e. on zero's side of 1/slope
+        slopes = _mbar(system, replace(field_base, gbar=1.0), ms)  # mbar per unit gbar
+        bounds = 1.0 / slopes[slopes != 0.0]
+        lo_allowed = float(bounds[bounds < 0.0].max(initial=-math.inf))
+        hi_allowed = float(bounds[bounds >= 0.0].min(initial=math.inf))
+        finite = [abs(bound) for bound in (lo_allowed, hi_allowed) if math.isfinite(bound)]
+        margin = 1e-12 * max(finite + [1.0])  # an unbounded side sets no scale
+        g_lo = max(g_lo, lo_allowed + margin)
+        g_hi = min(g_hi, hi_allowed - margin)
+        if not (g_lo < g_hi):
+            raise DissociationError("scan range entirely dissociated for the requested levels")
 
-    g = _scan_grid(g_lo, g_hi, steps)
-    g_scale = max(abs(g_lo), abs(g_hi))
-    grid = replace(field_base, gbar=g)
+        g = _scan_grid(g_lo, g_hi, steps)
+        g_scale = max(abs(g_lo), abs(g_hi))
+        grid = replace(field_base, gbar=g)
 
-    first, second = np.triu_indices(len(level_list), 1)  # the pairs in (i, j) order
-    parts = _level_parts(system, grid, (ms[:, None], ns[:, None]))
-    degenerate = []
-    brackets = []  # per block: i, j, a, b, d(a), d(b), guessed root; a == b at a grid zero
-    block = max(1, SCAN_BLOCK_POINTS // (steps + 1))
-    for start in range(0, len(first), block):
-        i, j = first[start:start + block], second[start:start + block]
-        ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (i, j)))
-        if not np.isfinite(ds).all():
-            raise ValueError("level energy differences past double precision on the gbar range")
-        # the intervals whose ends' signs differ, neither end zero
-        rows, lo = np.nonzero(np.sign(ds[:, :-1]) * np.sign(ds[:, 1:]) < 0.0)
-        hi = lo + 1
-        zero = ds == 0.0
-        if zero.any():
-            # a pair lands on zero at the first point or from a nonzero
-            # neighbour; one that is zero everywhere is degenerate
-            flat = zero.all(axis=1)
-            landed = zero & ~flat[:, None]
-            landed[:, 1:] &= ~zero[:, :-1]
-            degenerate += [(level_list[a], level_list[b]) for a, b in zip(i[flat], j[flat])]
-            rows_l, at = np.nonzero(landed)
-            rows, lo, hi = (np.concatenate(c) for c in ([rows_l, rows], [at, lo], [at, lo + 1]))
-        far = np.where(lo > 0, lo - 1, hi + 1)  # a third grid point beside the bracket
-        x0, x1, x2 = g[lo], g[hi], g[far]
-        y0, y1, y2 = ds[rows, lo], ds[rows, hi], ds[rows, far]
-        # the root guessed by inverse quadratic interpolation (Brent, ch. 4);
-        # a grid zero or a flat triple guesses nan or inf
-        with np.errstate(all="ignore"):
+        first, second = np.triu_indices(len(level_list), 1)  # the pairs in (i, j) order
+        parts = _level_parts(system, grid, (ms[:, None], ns[:, None]))
+        degenerate = []
+        brackets = []  # per block: i, j, a, b, d(a), d(b), guessed root; a == b at a grid zero
+        block = max(1, SCAN_BLOCK_POINTS // (steps + 1))
+        for start in range(0, len(first), block):
+            i, j = first[start:start + block], second[start:start + block]
+            ds = _pair_from_parts(system, grid, *([p[r] for p in parts] for r in (i, j)))
+            if not np.isfinite(ds).all():
+                raise ValueError("level energy differences past double precision on the gbar range")
+            # the intervals whose ends' signs differ, neither end zero
+            rows, lo = np.nonzero(np.sign(ds[:, :-1]) * np.sign(ds[:, 1:]) < 0.0)
+            hi = lo + 1
+            zero = ds == 0.0
+            if zero.any():
+                # a pair lands on zero at the first point or from a nonzero
+                # neighbour; one that is zero everywhere is degenerate
+                flat = zero.all(axis=1)
+                landed = zero & ~flat[:, None]
+                landed[:, 1:] &= ~zero[:, :-1]
+                degenerate += [(level_list[a], level_list[b]) for a, b in zip(i[flat], j[flat])]
+                rows_l, at = np.nonzero(landed)
+                rows, lo, hi = (np.concatenate(c) for c in ([rows_l, rows], [at, lo], [at, lo + 1]))
+            far = np.where(lo > 0, lo - 1, hi + 1)  # a third grid point beside the bracket
+            x0, x1, x2 = g[lo], g[hi], g[far]
+            y0, y1, y2 = ds[rows, lo], ds[rows, hi], ds[rows, far]
+            # the root guessed by inverse quadratic interpolation (Brent, ch. 4);
+            # a grid zero or a flat triple guesses nan or inf
             guess = x0 * y1 * y2 / ((y0 - y1) * (y0 - y2)) + x1 * y0 * y2 / (
                 (y1 - y0) * (y1 - y2)) + x2 * y0 * y1 / ((y2 - y0) * (y2 - y1))
-        brackets.append((i[rows], j[rows], x0, x1, y0, y1, guess))
+            brackets.append((i[rows], j[rows], x0, x1, y0, y1, guess))
 
-    columns = [np.concatenate(column) for column in zip(*brackets)]
-    chunk = max(1, SCAN_BLOCK_POINTS // BISECTION_ROUND_STEPS)  # brackets per round call
-    crossings = []
-    for start in range(0, sum(len(block_i) for block_i, *_ in brackets), chunk):
-        chunk_columns = [column[start:start + chunk] for column in columns]
-        crossings += _bisect_crossings(system, field_base, (ms, ns), chunk_columns, g_scale)
-    crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
-    return CrossingScanResult(tuple(crossings), tuple(degenerate))
+        columns = [np.concatenate(column) for column in zip(*brackets)]
+        chunk = max(1, SCAN_BLOCK_POINTS // BISECTION_ROUND_STEPS)  # brackets per round call
+        crossings = []
+        for start in range(0, sum(len(block_i) for block_i, *_ in brackets), chunk):
+            chunk_columns = [column[start:start + chunk] for column in columns]
+            crossings += _bisect_crossings(system, field_base, (ms, ns), chunk_columns, g_scale)
+        crossings.sort(key=lambda c: (c.gbar, c.level_a, c.level_b))
+        return CrossingScanResult(tuple(crossings), tuple(degenerate))
 
 
 def _bisect_crossings(
@@ -385,8 +383,7 @@ def _bisect_crossings(
         to_b = np.maximum.accumulate(np.where(right, -1, step))[stop, every]
         a, d_a = np.where(to_a < 0, a, mid[to_a, every]), np.where(to_a < 0, d_a, fm[to_a, every])
         b, d_b = np.where(to_b < 0, b, mid[to_b, every]), np.where(to_b < 0, d_b, fm[to_b, every])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            guess = a - d_a * (b - a) / (d_b - d_a)
+        guess = a - d_a * (b - a) / (d_b - d_a)
         open_ = shut == BISECTION_ROUND_STEPS
         i, j, a, b, d_a, d_b, guess, taken = (
             column[open_] for column in (i, j, a, b, d_a, d_b, guess, taken + stop + 1)
@@ -404,21 +401,21 @@ def _golden_children(a, b, c, d):
     return (a, d, d - _INV_PHI * (d - a), c), (c, b, d, c + _INV_PHI * (b - c))
 
 
-def _golden_round(a, b, c, d, known: dict, steps: int):
+def _golden_round(a, b, c, d, known: dict):
     """One golden-section round (to relative width 1e-10): the scalar search's
     steps from (a, b, c, d) while ``known`` holds the residuals at c and d, then
-    that state and the points ``known`` lacks that its next ``steps`` steps may
-    evaluate: c or d if new, each outcome's next point, and the midpoint it
-    returns once narrow; none once the search is done."""
+    that state and the points ``known`` lacks that its next GOLDEN_ROUND_STEPS
+    steps may evaluate: c or d if new, each outcome's next point, and the
+    midpoint it returns once narrow; none once the search is done."""
     while c in known and d in known and (b - a) > 1e-10 * max(abs(a), abs(b)):
         a, b, c, d = _golden_children(a, b, c, d)[known[c] > known[d]]
     states, points = [(a, b, c, d)], [x for x in (c, d) if x not in known]
-    for depth in range(steps if points else 1):
+    for depth in range(GOLDEN_ROUND_STEPS if points else 1):
         grown = []
         for a_, b_, c_, d_ in states:
             if not (b_ - a_) > 1e-10 * max(abs(a_), abs(b_)):
                 points.append(0.5 * (a_ + b_))
-            elif depth < steps - 1:
+            elif depth < GOLDEN_ROUND_STEPS - 1:
                 left, right = _golden_children(a_, b_, c_, d_)
                 grown += [left, right]
                 points += [left[2], right[3]]
@@ -515,9 +512,11 @@ def identify_frequency(
             except ValueError:  # the template is valid, so only omega can be refused
                 message = "bracket ends must keep mass*omega**2 a positive finite double"
                 raise ValueError(message) from None
-            m, osc, shift = _level_parts(system, field, (levels, n))
-            upper, lower = (m[1:], osc[:, 1:], shift[:, 1:]), (m[:-1], osc[:, :-1], shift[:, :-1])
-            fits.append(_misfits(_pair_from_parts(system, field, upper, lower), measured))
+            with np.errstate(all="ignore"):
+                m, osc, shift = _level_parts(system, field, (levels, n))
+                upper = (m[1:], osc[:, 1:], shift[:, 1:])
+                lower = (m[:-1], osc[:, :-1], shift[:, :-1])
+                fits.append(_misfits(_pair_from_parts(system, field, upper, lower), measured))
         return np.concatenate(fits)
 
     xs = _scan_grid(lo, hi, scan_points - 1)
@@ -539,7 +538,7 @@ def identify_frequency(
     states = zip(xs[basins - 1].tolist(), xs[basins + 1].tolist())
     states = [(a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)) for a, b in states]
     while True:
-        states, new = zip(*(_golden_round(*state, known, GOLDEN_ROUND_STEPS) for state in states))
+        states, new = zip(*(_golden_round(*state, known) for state in states))
         points = [x for points in new for x in points]
         if not points:
             break

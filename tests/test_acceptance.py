@@ -18,21 +18,23 @@ from parabolic_mr import (
     DissociationError,
     FieldProfile,
     SpinSystem,
-    auto_grid,
-    build_sector_hamiltonian,
     converged_spectrum,
     eigenfunction_center,
     energy_decomposition,
     energy_level,
-    expectation_position,
     gbar_critical,
     identify_frequency,
-    lowest_eigenpairs,
     scaled_spin_number,
     stability_check,
     transition_lines,
 )
 from parabolic_mr.cli import EXIT_OK, figure1_scenario, run
+from parabolic_mr.oracle import (
+    auto_grid,
+    build_sector_hamiltonian,
+    expectation_position,
+    lowest_eigenpairs,
+)
 
 
 @contextmanager

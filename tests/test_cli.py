@@ -469,6 +469,26 @@ class TestLinesAndInvertCommands:
         assert "unidentifiable: homogeneous field" in capsys.readouterr().err
         assert not (out / "inversion.json").exists()
 
+    def test_invert_edge_beating_every_basin_exits_physics(self, tmp_path, capsys):
+        # three of the four S = 2 lines, and a bracket that stops short of the
+        # true omega (1.1e5); a wider one identifies it
+        system = SpinSystem(2e-26, 8e10, 2.0, 1.1e5, 2e-6)
+        field = FieldProfile(-0.003, 0.003, 9.3)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 0)][:3]
+        params = dict(
+            mass=2e-26, gamma=8e10, spin=2.0, omega=1.1e5, offset=2e-6, b0=-0.003, g=0.003,
+            gbar=9.3, measured_lines=lines, bracket_lo=2.3e4, scan_points=16,
+        )
+        out = tmp_path / "out"
+        config = write_config(tmp_path, **params, bracket_hi=9.9e4)
+        assert run(["invert", "--config", config, "--out", str(out)]) == EXIT_PHYSICS
+        assert capsys.readouterr().err == "ERROR 3: bracket does not contain optimum\n"
+        assert not (out / "inversion.json").exists()
+        config = write_config(tmp_path, name="wider.json", **params, bracket_hi=1.3e5)
+        assert run(["invert", "--config", config, "--out", str(out)]) == EXIT_OK
+        result = json.loads((out / "inversion.json").read_text())
+        assert result["omega_estimate_rad_per_s"] == pytest.approx(1.1e5, rel=1e-6)
+
     def test_invert_requires_bracket_and_lines(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert run(["invert", "--config", config, "--out", str(tmp_path)]) == EXIT_CONFIG

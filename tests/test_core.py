@@ -60,10 +60,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             simple_system(spin=-0.5)
 
-    @pytest.mark.parametrize("spin", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite_spin(self, spin):
-        with pytest.raises(ValueError, match="spin must be finite"):
-            simple_system(spin=spin)
+    @pytest.mark.parametrize("key, value", [  # the spin cases keep their bare ids
+        pytest.param(key, value, id=f"{key}-{value}" if key != "spin" else str(value))
+        for key in ("spin", "gamma", "offset") for value in (math.inf, -math.inf, math.nan)
+    ])
+    def test_rejects_non_finite_spin(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            simple_system(**{key: value})
 
     def test_offset_must_sit_inside_sample(self):
         simple_system(offset=1e-5, sample_half_length=1e-4)
@@ -240,6 +243,12 @@ class TestScaledSpinNumber:
         assert scaled_spin_number(system, field, 1.5) > 0
         assert scaled_spin_number(system, field, -1.5) < 0
 
+    def test_array_past_the_doubles_warns_nothing(self):
+        # gamma*gbar overflows: -inf, inf * 0 and inf, as Python floats give them
+        system = SpinSystem(2e-26, 1e300, 1.0, 1.1e5)
+        mbar = scaled_spin_number(system, FieldProfile(0, 0, 1e300), np.array([-1.0, 0.0, 1.0]))
+        assert mbar[0] == -math.inf and math.isnan(mbar[1]) and mbar[2] == math.inf
+
 
 class TestEffectiveFrequency:
     def test_reduces_to_omega_without_quadratic_term(self):
@@ -343,6 +352,16 @@ class TestDerivedParams:
 
 
 class TestEnergyLevel:
+    def test_array_past_the_doubles_warns_nothing_and_matches_scalars(self):
+        # the Zeeman term overflows to -inf and inf, and at M = 0 is inf * 0
+        system = SpinSystem(2e-26, 8e10, 1.0, 1.1e5, 2e-6)
+        field = FieldProfile(1e300, 0, 0)
+        ms = [-1.0, 0.0, 1.0]
+        energies = energy_level(system, field, np.array(ms), np.array([0, 0, 0]))
+        scalars = np.array([energy_level(system, field, m, 0) for m in ms])
+        assert energies[0] == math.inf and math.isnan(energies[1]) and energies[2] == -math.inf
+        assert energies.view(np.uint64).tolist() == scalars.view(np.uint64).tolist()
+
     def test_m_zero_sector_is_field_independent(self):
         system = simple_system(spin=2.0)
         rng = np.random.default_rng(7)

@@ -12,20 +12,14 @@ from parabolic_mr import (
     ConvergenceError,
     DissociationError,
     FieldProfile,
-    Grid,
-    SectorMatrix,
     SpinSystem,
-    auto_grid,
-    build_sector_hamiltonian,
     converged_spectrum,
     crossing_scan,
     effective_frequency,
     eigenfunction,
     eigenfunction_center,
     energy_level,
-    expectation_position,
     gbar_critical,
-    lowest_eigenpairs,
     oscillator_length,
     scaled_spin_number,
     transition_lines,
@@ -33,7 +27,15 @@ from parabolic_mr import (
 )
 from parabolic_mr import core, oracle
 from parabolic_mr.cli import figure1_scenario, run
-from parabolic_mr.oracle import lowest_eigenvalues
+from parabolic_mr.oracle import (
+    Grid,
+    SectorMatrix,
+    auto_grid,
+    build_sector_hamiltonian,
+    expectation_position,
+    lowest_eigenpairs,
+    lowest_eigenvalues,
+)
 
 
 def oscillator_system(**overrides):
@@ -372,6 +374,11 @@ class TestExpectationPosition:
 
 
 class TestValidateLevels:
+    def test_potential_past_the_doubles_refused_without_a_warning(self):
+        system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+        with pytest.raises(ValueError, match="potential not finite on the grid domain"):
+            validate_levels(system, FieldProfile(1e303, 0, 0), [(1.5, 0)])
+
     def test_report_structure_and_pass(self):
         system, field = build_scenario(1e-26, 1.5e5, 7e10, 1.0, 0.3, 0.7, 0.5, 0.4)
         levels = [(m, n) for m in system.levels() for n in range(2)]

@@ -206,6 +206,13 @@ class TestTransitionLines:
 
 
 class TestCrossingScan:
+    def test_differences_past_the_doubles_refused_without_a_warning(self):
+        system = SpinSystem(2e-26, 8e10, 1.0, 1.1e5, 2e-6)
+        field = FieldProfile(1e303, 0.002, 0)
+        match = "level energy differences past double precision on the gbar range"
+        with pytest.raises(ValueError, match=match):
+            crossing_scan(system, field, (0, 100), [(1.0, 0), (-1.0, 0)])
+
     def test_decoupled_spin_degenerate_pairs_reported(self):
         system = larmor_system(gamma=0.0, spin=1.0)
         field = FieldProfile(0.0, 0.0, 0.0)
@@ -408,6 +415,30 @@ class TestCrossingScan:
 
 
 class TestIdentifyFrequency:
+    def test_misfit_past_the_doubles_refused_without_a_warning(self):
+        system = SpinSystem(2e-26, 8e10, 0.5, 1.1e5, 2e-6)
+        with pytest.raises(ValueError, match="line misfit past double precision"):
+            identify_frequency([53.0], system, FieldProfile(0, 1e150, 0), 0, (5e4, 6e5))
+
+    def test_edge_that_beats_every_refined_basin_is_refused(self, monkeypatch):
+        # three of the four S = 2 lines: the bracket's upper edge beats the
+        # coarse basins and none refines below it, so the refusal comes after
+        # the golden rounds, unlike the refusal of a scan without a basin
+        system = SpinSystem(2e-26, 8e10, 2.0, 1.1e5, 2e-6)
+        field = FieldProfile(-0.003, 0.003, 9.3)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 0)][:3]
+        rounds = []
+        golden_round = spectroscopy._golden_round
+
+        def counting(*args):
+            rounds.append(args)
+            return golden_round(*args)
+
+        monkeypatch.setattr(spectroscopy, "_golden_round", counting)
+        with pytest.raises(InversionError, match="bracket does not contain optimum"):
+            identify_frequency(lines, system, field, 0, (2.3e4, 9.9e4), scan_points=16)
+        assert rounds
+
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(3)
         system, field, _ = random_stable_scenario(rng, zero_b0=False)

@@ -1,5 +1,6 @@
 """Repository-level checks: the runtime dependency set, the public surface
-and result fields, where dissociation is decided and mbar derived, what the
+and result fields, where numpy's error state is set, how a failing property
+test reports, where dissociation is decided and mbar derived, what the
 oracle imports, the argument checks of a crossing scan and of a scenario, the
 kernel calls of a scan and of an inversion, the one line misfit and the one
 bounded evaluation path of the inversion, the one scan grid and one squaring,
@@ -46,9 +47,7 @@ def test_public_names_are_pinned():
         "scaled_spin_number", "stability_check",
         "ConvergenceError", "DissociationError", "InversionError", "PhysicsError",
         "UnidentifiableError",
-        "Grid", "SectorMatrix", "ValidationReport", "auto_grid",
-        "build_sector_hamiltonian", "converged_spectrum", "expectation_position",
-        "lowest_eigenpairs", "validate_levels",
+        "ValidationReport", "converged_spectrum", "validate_levels",
         "CrossingPoint", "CrossingScanResult", "InversionResult",
         "TransitionLine", "crossing_scan", "identify_frequency", "transition_lines",
         "__version__",
@@ -88,6 +87,55 @@ def _module_trees():
         with open(path, encoding="utf-8") as fh:
             trees[os.path.splitext(os.path.basename(path))[0]] = ast.parse(fh.read())
     return trees
+
+
+def test_floating_point_policy_is_stated_once_per_function():
+    # a function whose docs promise silence or a ValueError past the doubles
+    # ignores every numpy error state once, around its whole evaluation, as a
+    # Python float does, and then checks its result; no other line does
+    def sites(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate":
+            yield owner, ast.unparse(node)
+        for child in ast.iter_child_nodes(node):
+            yield from sites(child, owner)
+
+    found = sorted(
+        (module, *site) for module, tree in _module_trees().items() for site in sites(tree, None)
+    )
+    assert found == [
+        (module, owner, "np.errstate(all='ignore')")
+        for module, owner in [
+            ("cli", "run"),
+            ("core", "_square"),
+            ("core", "energy_level"),
+            ("core", "scaled_spin_number"),
+            ("oracle", "build_sector_hamiltonian"),
+            ("spectroscopy", "crossing_scan"),
+            ("spectroscopy", "identify_frequency.misfits"),
+            ("spectroscopy", "transition_lines"),
+        ]
+    ]
+
+
+def test_failing_property_test_shows_its_example(tmp_path):
+    # under the suite's warnings-as-errors setting, a failing hypothesis test
+    # reports its falsifying example rather than an internal error
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", os.path.join(ROOT, "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output
 
 
 def test_dissociation_error_raised_in_three_places():
