@@ -16,6 +16,6 @@ TWO_PI = 2.0 * math.pi
 
 def oscillator_length(mass: float, omega: float) -> float:
     """Characteristic oscillator length sqrt(hbar / (mass * omega)) in meters."""
-    if mass <= 0.0 or omega <= 0.0:
-        raise ValueError("invalid system: mass and omega must be positive")
+    if not (0.0 < mass < math.inf and 0.0 < omega < math.inf):
+        raise ValueError("invalid system: mass and omega must be positive and finite")
     return math.sqrt(HBAR / (mass * omega))

@@ -124,11 +124,12 @@ class SpinSystem:
                 raise ValueError(
                     "invalid system: |offset| must be smaller than sample_half_length"
                 )
-        omega_squared = _square(self.omega)
-        if not _positive_finite(self.mass * omega_squared):
-            raise ValueError(
-                "invalid system: omega**2 and mass*omega**2 must be positive finite doubles"
-            )
+        with np.errstate(all="ignore"):
+            omega_squared = _square(self.omega)
+            if not _positive_finite(self.mass * omega_squared):
+                raise ValueError(
+                    "invalid system: omega**2 and mass*omega**2 must be positive finite doubles"
+                )
         object.__setattr__(self, "_omega_squared", omega_squared)
 
     def levels(self) -> tuple[float, ...]:

@@ -332,9 +332,9 @@ def converged_spectrum(
     stops once two successive solves agree per-eigenvalue to 0.1*tol
     relative (the comparison scale is floored at half the sector level
     spacing so eigenvalues passing through zero cannot stall the check).
-    Raises ``ValueError`` for tol below ``MIN_TOL``, ``ConvergenceError`` if
-    the next grid would exceed ``MAX_DVR_POINTS``, and ``DissociationError``
-    for mbar >= 1.
+    Raises ``ValueError`` for tol below ``MIN_TOL`` or for energies past
+    double precision in joules, ``ConvergenceError`` if the next grid would
+    exceed ``MAX_DVR_POINTS``, and ``DissociationError`` for mbar >= 1.
     """
     mq = _projection(system, m)
     if not (tol >= MIN_TOL):
@@ -355,7 +355,11 @@ def converged_spectrum(
             bound = 0.1 * tol * np.maximum(np.abs(values), 0.5 * spacing)
             if np.all(change <= bound):
                 report = SectorConvergence(mq, grid, float(np.max(change / bound)), refinements)
-                return HBAR * system.omega * values, report
+                with np.errstate(all="ignore"):
+                    energies = HBAR * system.omega * values
+                if not np.isfinite(energies).all():
+                    raise ValueError(f"energies of m_quantum={mq} are past double precision in J")
+                return energies, report
         previous = values
         n_points = n_points * 3 // 2
     raise ConvergenceError(

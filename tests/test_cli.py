@@ -680,6 +680,19 @@ class TestValidateCommand:
         assert payload["passed"] is True
         assert len(payload["sectors"]) == 4  # every quickstart sector
 
+    def test_energies_past_the_doubles_in_joules_named(self, tmp_path, capsys):
+        # the sector solves in hbar*omega units, and hbar*omega*E overflows
+        config = write_config(
+            tmp_path, mass=1e-300, gamma=1e200, spin=0.5, omega=1e134, offset=0.0,
+            b0=1e230, g=0.0, gbar=0.0, levels=[[0.5, 0], [0.5, 1]],
+        )
+        out = tmp_path / "out"
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ERROR 2: ")
+        assert "m_quantum=0.5" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["g", "offset"])
     def test_unresolvable_sector_grid_named(self, tmp_path, capsys, key):
         # the sector centre lies about 1e200 oscillator lengths out
@@ -961,8 +974,9 @@ OUT_OF_RANGE = {
     "sample_half_length": ("1e-9", "-1.0"),
     # omega**2 overflows, and mass * omega**2 underflows to zero
     "omega": ("1e200", "1e-170"),
-    # the oscillator length sqrt(hbar / (mass * omega)) underflows to zero
-    "mass": ("1e290",),
+    # the oscillator length sqrt(hbar / (mass * omega)) underflows to zero,
+    # and mass * (3 omega)**2 at invert's bracket_hi overflows
+    "mass": ("1e290", "1e297"),
     # energies, lines or the inversion's misfit overflow
     "b0": ("1e200",),
     "g": ("1e200",),

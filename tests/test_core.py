@@ -54,6 +54,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=r"mass\*omega\*\*2 must be positive finite"):
             simple_system(mass=9.1093837015e-31, omega=omega)
 
+    def test_rejects_omega_array_whose_mass_product_overflows_without_a_warning(self):
+        # 1e110 squares within the doubles, but 1e100 * 1e220 does not
+        with pytest.raises(ValueError, match=r"mass\*omega\*\*2 must be positive finite"):
+            SpinSystem(1e100, 8e10, 1.0, np.array([1e5, 1e110]))
+
     def test_rejects_non_half_integer_spin(self):
         with pytest.raises(ValueError):
             simple_system(spin=0.7)

@@ -58,6 +58,16 @@ def synthetic_matrix(hamiltonian):
     return SectorMatrix(hamiltonian, 0.0, Grid(0.0, n - 1.0, n, 1.0))
 
 
+@pytest.mark.parametrize(
+    "mass, omega",
+    [(0.0, 2e5), (1e-26, -1.0), (math.nan, 2e5), (math.inf, 2e5),
+     (1e-26, math.nan), (1e-26, math.inf)],
+)
+def test_oscillator_length_refuses_non_positive_or_non_finite_inputs(mass, omega):
+    with pytest.raises(ValueError, match="mass and omega must be positive and finite"):
+        oscillator_length(mass, omega)
+
+
 class TestGrid:
     def test_rejects_coarse_or_inverted(self):
         with pytest.raises(ValueError, match="grid too coarse"):
@@ -308,6 +318,12 @@ class TestConvergedSpectrum:
         field = FieldProfile(0.0, 0.0, 1e9)
         with pytest.raises(DissociationError, match="unbounded below"):
             converged_spectrum(system, field, 1.5, 3)
+
+    def test_energies_past_the_doubles_in_joules_refused_without_a_warning(self):
+        # the eigenvalues are finite in hbar*omega units; hbar*omega times them is not
+        system = SpinSystem(1e-300, 1e200, 0.5, 1e134)
+        with pytest.raises(ValueError, match=r"m_quantum=0\.5 are past double precision"):
+            converged_spectrum(system, FieldProfile(1e230, 0, 0), 0.5, 2)
 
     def test_tol_floor_enforced(self):
         system = oscillator_system()

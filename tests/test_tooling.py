@@ -107,11 +107,12 @@ def test_floating_point_policy_is_stated_once_per_function():
     assert found == [
         (module, owner, "np.errstate(all='ignore')")
         for module, owner in [
-            ("cli", "run"),
+            ("core", "__post_init__"),  # SpinSystem's
             ("core", "_square"),
             ("core", "energy_level"),
             ("core", "scaled_spin_number"),
             ("oracle", "build_sector_hamiltonian"),
+            ("oracle", "converged_spectrum"),
             ("spectroscopy", "crossing_scan"),
             ("spectroscopy", "identify_frequency.misfits"),
             ("spectroscopy", "transition_lines"),
