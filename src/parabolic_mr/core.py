@@ -58,7 +58,9 @@ def _square(x):
 
     Python's ``**`` and ``np.float_power`` call the same ``pow``, which differs
     in the last bit from numpy's ``x*x`` for some doubles, so array squares stay
-    bit-identical to scalar ones.  No square raises an exception or a warning.
+    bit-identical to scalar ones.  No square raises an exception or a warning;
+    the package's callers square inside their own ``np.errstate``, so this
+    one matters only to a direct call.
     """
     if isinstance(x, ndarray):
         with np.errstate(all="ignore"):

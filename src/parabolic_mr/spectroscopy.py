@@ -216,8 +216,10 @@ def transition_lines(
 
 
 def _scan_grid(lo: float, hi: float, intervals: int) -> np.ndarray:
-    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan."""
-    return lo + (hi - lo) * np.arange(intervals + 1) / intervals
+    """The ``intervals + 1`` points lo + (hi - lo) * i / intervals of a scan;
+    inf or nan past double range, which each caller's own checks refuse."""
+    with np.errstate(all="ignore"):
+        return lo + (hi - lo) * np.arange(intervals + 1) / intervals
 
 
 def crossing_scan(

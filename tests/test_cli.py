@@ -778,6 +778,13 @@ class TestFigure1Command:
         path = write_config(tmp_path, gbar_min=100.0, gbar_max=50.0)
         assert_config_error(tmp_path, capsys, "figure1", path)
 
+    @pytest.mark.parametrize("gbar_min, gbar_max", [(0.0, 1e307), (-1e308, 1e308)])
+    def test_level_grid_past_the_doubles_refused(self, tmp_path, capsys, gbar_min, gbar_max):
+        # the grid's steps overflow to inf, or inf * 0 makes its first point
+        # nan: the level table refuses it without a numpy warning
+        path = write_config(tmp_path, gbar_min=gbar_min, gbar_max=gbar_max)
+        assert "gbar must be finite" in assert_config_error(tmp_path, capsys, "figure1", path)
+
     @pytest.mark.parametrize(
         "key, value", [("spin", 0.0), ("gamma", 0.0), ("gamma", 5e-324)],
         ids=["spin", "gamma", "gamma_underflows"],
@@ -980,6 +987,8 @@ OUT_OF_RANGE = {
     # energies, lines or the inversion's misfit overflow
     "b0": ("1e200",),
     "g": ("1e200",),
+    # figure1's level grid gbar_min + (gbar_max - gbar_min) * i / steps overflows
+    "gbar_max": ("1e307",),
 }
 
 #: A JSON token of a non-finite number, as json or the CSV writer spell it.

@@ -548,6 +548,14 @@ class TestIdentifyFrequency:
         with pytest.raises(ValueError, match=r"^bracket ends must keep mass\*omega\*\*2"):
             identify_frequency(lines, replace(system, omega=1.0), field, 1, bracket)
 
+    def test_scan_grid_past_the_doubles_refused_without_a_warning(self):
+        # the scan grid's steps (1e308 - 5e4) * i overflow to inf for i >= 2
+        system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+        field = FieldProfile(0.0, 0.002, 40.0)
+        lines = [l.frequency_hz for l in transition_lines(system, field, 1)]
+        with pytest.raises(ValueError, match=r"^bracket ends must keep mass\*omega\*\*2"):
+            identify_frequency(lines, system, field, 1, (5e4, 1e308))
+
     @pytest.mark.parametrize("factor", [1e200, math.inf, math.nan])
     def test_refinement_residual_past_the_doubles_raises_like_the_scan(self, monkeypatch, factor):
         # the coarse scan stays finite while every golden-section round's line

@@ -113,6 +113,7 @@ def test_floating_point_policy_is_stated_once_per_function():
             ("core", "scaled_spin_number"),
             ("oracle", "build_sector_hamiltonian"),
             ("oracle", "converged_spectrum"),
+            ("spectroscopy", "_scan_grid"),
             ("spectroscopy", "crossing_scan"),
             ("spectroscopy", "identify_frequency.misfits"),
             ("spectroscopy", "transition_lines"),
