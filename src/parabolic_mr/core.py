@@ -270,7 +270,9 @@ def oscillator_wavefunction(n: int, omega: float, mass: float, x):
     """Normalized oscillator eigenfunction psi_n(omega; x), units m^(-1/2).
 
     psi_n(x) = (m*omega/(pi*hbar))^(1/4) / sqrt(2^n n!) * H_n(xi) * exp(-xi^2/2)
-    with xi = x*sqrt(m*omega/hbar).  Accepts scalar or ndarray ``x``.
+    with xi = x*sqrt(m*omega/hbar).  Accepts scalar or ndarray ``x``.  Where
+    exp(-xi^2/2) underflows to 0, psi is 0 without a warning, even where xi**2
+    or H_n(xi) overflows.
     """
     n = _require_int(n)
     if n > MAX_HERMITE_ORDER:
@@ -281,8 +283,11 @@ def oscillator_wavefunction(n: int, omega: float, mass: float, x):
     xs = np.asarray(x, dtype=float)
     scale = math.sqrt(mass * omega / HBAR)
     norm = (mass * omega / (HBAR * math.pi)) ** 0.25
-    xi = scale * xs
-    val = norm * _hermite_normalized(n, xi) * np.exp(-0.5 * xi * xi)
+    with np.errstate(all="ignore"):
+        xi = scale * xs
+        gauss = np.exp(-0.5 * xi * xi)
+        val = norm * _hermite_normalized(n, xi) * gauss
+    val = np.where(np.isnan(val) & (gauss == 0.0), 0.0, val)  # inf * 0 in the far tail
     return float(val) if scalar else val
 
 

@@ -146,15 +146,15 @@ class ValidationReport:
     A level passes when its error is below ``tolerance`` relative to |E| or
     at most ``tolerance`` times its oscillator scale, so a level near E = 0
     is judged on the scale of its spacing; the report passes when every
-    level passes (an unconverged sector raises).  ``max_rel_error`` is
-    relative to |E| alone, inf at E = 0, which ``to_dict`` writes as null.
+    level passes.  An unconverged sector raises, so ``converged`` is a class
+    constant.  ``max_rel_error`` is relative to |E| alone: inf (null) at E = 0.
     """
 
     records: tuple[LevelRecord, ...]
     sectors: tuple[SectorConvergence, ...]
     tolerance: float
-    converged: bool
     max_rel_error: float
+    converged = True
 
     def passed(self) -> bool:
         return all(
@@ -333,8 +333,9 @@ def converged_spectrum(
     relative (the comparison scale is floored at half the sector level
     spacing so eigenvalues passing through zero cannot stall the check).
     Raises ``ValueError`` for tol below ``MIN_TOL`` or for energies past
-    double precision in joules, ``ConvergenceError`` if the next grid would
-    exceed ``MAX_DVR_POINTS``, and ``DissociationError`` for mbar >= 1.
+    double precision in joules, ``DissociationError`` for mbar >= 1, and
+    ``ConvergenceError`` if the next grid would exceed ``MAX_DVR_POINTS``:
+    before any solve when the first grid leaves no room for a second (k >= 683).
     """
     mq = _projection(system, m)
     if not (tol >= MIN_TOL):
@@ -342,11 +343,12 @@ def converged_spectrum(
     mbar = _bound_mbar(system, field, mq)
     spacing = math.sqrt(1.0 - mbar)  # level spacing in hbar*omega units
 
-    # a grid's highest eigenvalues are discretisation artefacts: start at 2k points
+    # a grid's highest eigenvalues are discretisation artefacts: start at 2k points;
+    # a first solve is only compared against, so solve it only if a second grid fits
     n_points = max(MIN_GRID_POINTS, 2 * k)
     previous: np.ndarray | None = None
     refinements = 0
-    while n_points <= MAX_DVR_POINTS:
+    while (n_points if previous is not None else n_points * 3 // 2) <= MAX_DVR_POINTS:
         grid = auto_grid(system, field, mq, k, n_points)
         values = lowest_eigenvalues(build_sector_hamiltonian(system, field, mq, grid), k)
         refinements += 1
@@ -376,31 +378,28 @@ def validate_levels(
     """Compare closed-form energies against the converged grid spectrum.
 
     ``levels`` is an iterable of (M, n) pairs, whose M and n are checked in one
-    array call each before any solve, as :func:`energy_level` checks them;
-    each distinct M triggers one sector solve sized for its largest n.  Each
-    record carries its relative error and its oscillator scale, from which
-    :meth:`ValidationReport.passed` judges it.
+    array call each before any solve, as :func:`energy_level` checks them; each
+    distinct M, ascending, triggers one sector solve sized for its largest n, and
+    one :func:`energy_level` call evaluates every level.  Each record carries its
+    relative error and oscillator scale, which :meth:`ValidationReport.passed` judges.
     """
     levels = list(levels)
     if not levels:
         raise ValueError("no levels requested")
     ms = _projection(system, np.array([m for m, _ in levels]))
     ns = _require_int(np.array([n for _, n in levels]))
-    wanted: dict[float, list[int]] = {}
+    wanted: dict[float, set[int]] = {}
     for mq, n in zip(ms.tolist(), ns.tolist()):
-        wanted.setdefault(mq, []).append(n)
-
-    records: list[LevelRecord] = []
-    sectors: list[SectorConvergence] = []
+        wanted.setdefault(mq, set()).add(n)
+    rows, sectors = [], []  # rows: (M, n, numeric energy, oscillator scale), J
     for mq in sorted(wanted):
-        ns = sorted(set(wanted[mq]))
-        numeric, report = converged_spectrum(system, field, mq, ns[-1] + 1, tol)
+        values, report = converged_spectrum(system, field, mq, max(wanted[mq]) + 1, tol)
         sectors.append(report)
         spacing_j = HBAR * system.omega * math.sqrt(1.0 - _bound_mbar(system, field, mq))
-        analytics = energy_level(system, field, mq, np.array(ns)).tolist()
-        for n, analytic, num in zip(ns, analytics, numeric[ns].tolist()):
-            rel = abs(num - analytic) / abs(analytic) if abs(analytic) > 0.0 else math.inf
-            records.append(LevelRecord(mq, n, analytic, num, rel, spacing_j * (n + 0.5)))
-    max_rel = max(r.rel_error for r in records)
-    # converged is True (an unconverged sector raised); bench/workloads.py's check reads it
-    return ValidationReport(tuple(records), tuple(sectors), tol, True, max_rel)
+        rows += [(mq, n, float(values[n]), spacing_j * (n + 0.5)) for n in sorted(wanted[mq])]
+    ms, ns = np.array([row[0] for row in rows]), np.array([row[1] for row in rows])
+    records = []
+    for (mq, n, num, scale), analytic in zip(rows, energy_level(system, field, ms, ns).tolist()):
+        rel = abs(num - analytic) / abs(analytic) if abs(analytic) > 0.0 else math.inf
+        records.append(LevelRecord(mq, n, analytic, num, rel, scale))
+    return ValidationReport(tuple(records), tuple(sectors), tol, max(r.rel_error for r in records))

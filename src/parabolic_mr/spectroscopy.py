@@ -509,11 +509,7 @@ def identify_frequency(
         # as transition_lines pairs them, in blocks of ``rows`` omegas
         omegas, fits = np.array(omegas)[:, None], []
         for start in range(0, len(omegas), rows):
-            try:
-                system = replace(system_template, omega=omegas[start:start + rows])
-            except ValueError:  # the template is valid, so only omega can be refused
-                message = "bracket ends must keep mass*omega**2 a positive finite double"
-                raise ValueError(message) from None
+            system = replace(system_template, omega=omegas[start:start + rows])
             with np.errstate(all="ignore"):
                 m, osc, shift = _level_parts(system, field, (levels, n))
                 upper = (m[1:], osc[:, 1:], shift[:, 1:])
@@ -522,6 +518,10 @@ def identify_frequency(
         return np.concatenate(fits)
 
     xs = _scan_grid(lo, hi, scan_points - 1)
+    try:  # mass*omega**2 grows with omega, so the scan's ends bound every omega searched
+        replace(system_template, omega=xs[[0, -1]])
+    except ValueError:  # the template is valid, so only omega can be refused
+        raise ValueError("bracket ends must keep mass*omega**2 a positive finite double") from None
     fs = misfits(xs)
     f_min, f_max = float(fs.min()), float(fs.max())
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):

@@ -700,6 +700,20 @@ class TestValidateCommand:
         err = assert_config_error(tmp_path, capsys, "validate", path)
         assert "m_quantum=-1.0 cannot be resolved in double precision" in err
 
+    def test_unreachable_sector_exits_4_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # n = 682 needs grids of 1366 and 2049 points, past the 2048-point cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sector matrix was built")
+
+        monkeypatch.setattr(oracle, "build_sector_hamiltonian", refuse)
+        config = write_config(tmp_path, spin=0.5, levels=[[0.5, 682]])
+        out = tmp_path / "out"
+        assert run(["validate", "--config", config, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "ERROR 4: oracle did not converge for m_quantum=0.5 within 2048 points\n"
+        )
+        assert not out.exists()
+
     def test_level_near_zero_passes_on_its_oscillator_scale(self, tmp_path, capsys):
         # E(1, 0) is about 1e-12 hbar*omega: 2% apart relative to |E|, yet
         # within tol of its spacing

@@ -29,7 +29,7 @@ from parabolic_mr import (
     transition_lines,
 )
 from parabolic_mr.cli import EXIT_PHYSICS, run
-from parabolic_mr.core import _hermite_normalized, _square
+from parabolic_mr.core import MAX_HERMITE_ORDER, _hermite_normalized, _square
 
 ELECTRON_GAMMA = -1.76085963e11
 
@@ -77,6 +77,11 @@ class TestDomainTypes:
         simple_system(offset=1e-5, sample_half_length=1e-4)
         with pytest.raises(ValueError):
             simple_system(offset=2e-4, sample_half_length=1e-4)
+
+    @pytest.mark.parametrize("offset", [1e-4, -1e-4])
+    def test_offset_on_the_sample_edge_refused(self, offset):
+        with pytest.raises(ValueError, match="offset. must be smaller than sample_half_length"):
+            simple_system(offset=offset, sample_half_length=1e-4)
 
     def test_levels_ladder(self):
         assert simple_system(spin=1.5).levels() == (-1.5, -0.5, 0.5, 1.5)
@@ -166,6 +171,9 @@ class TestHermite:
         with pytest.raises(ValueError, match="order too large"):
             oscillator_wavefunction(201, 3.1e5, 1.2e-26, 0.0)
 
+    def test_order_cap_itself_accepted(self):
+        assert math.isfinite(oscillator_wavefunction(MAX_HERMITE_ORDER, 3.1e5, 1.2e-26, 0.0))
+
     @given(st.integers(0, 30), st.floats(-5.0, 5.0))
     def test_matches_numpy_polynomial_module(self, n, xi):
         coeffs = [0.0] * n + [1.0]
@@ -197,6 +205,10 @@ class TestOscillatorWavefunction:
         with pytest.raises(ValueError, match="invalid system"):
             oscillator_wavefunction(0, self.OMEGA, 0.0, 0.0)
 
+    def test_zero_omega_rejected(self):
+        with pytest.raises(ValueError, match="invalid system"):
+            oscillator_wavefunction(0, 0.0, self.MASS, 0.0)
+
     @pytest.mark.parametrize("n", range(6))
     def test_quadrature_normalization(self, n):
         lam = math.sqrt(HBAR / (self.MASS * self.OMEGA))
@@ -222,6 +234,15 @@ class TestOscillatorWavefunction:
         # factorial(150) overflows float64; the normalized recurrence must not
         value = oscillator_wavefunction(150, self.OMEGA, self.MASS, 0.0)
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_far_tail_is_zero_without_a_warning(self, n):
+        # xi = 4.7e306: xi**2 overflows, and H_n(xi) too for n = 2; the
+        # Gaussian underflows, so psi is 0 where inf * 0 made nan
+        assert oscillator_wavefunction(n, 1.1e5, 2e-26, 1e300) == 0.0
+        psi = oscillator_wavefunction(n, 1.1e5, 2e-26, np.array([0.0, 1e300, -1e300]))
+        assert psi[0] == oscillator_wavefunction(n, 1.1e5, 2e-26, 0.0)
+        assert list(psi[1:]) == [0.0, 0.0]
 
 
 class TestScaledSpinNumber:
@@ -326,6 +347,13 @@ class TestStabilityCheck:
         system = simple_system(gamma=5e10, spin=1.5)
         assert stability_check(system, FieldProfile(0.0, 0.0, 10.0)).m_quantum == 1.5
         assert stability_check(system, FieldProfile(0.0, 0.0, -10.0)).m_quantum == -1.5
+
+    @pytest.mark.parametrize("gamma, gbar", [(5e10, 0.0), (-5e10, 0.0), (0.0, -10.0)])
+    def test_no_adverse_sign_reports_plus_s(self, gamma, gbar):
+        # gamma*gbar = 0.0 or -0.0: every sector has mbar 0, and the report names +S
+        system = simple_system(gamma=gamma, spin=1.5)
+        summary = stability_check(system, FieldProfile(0.0, 0.0, gbar))
+        assert summary.m_quantum == 1.5 and summary.stable
 
     def test_spin_zero_unconditionally_stable(self):
         system = simple_system(spin=0.0)

@@ -338,6 +338,18 @@ class TestConvergedSpectrum:
         with pytest.raises(ConvergenceError, match="did not converge"):
             converged_spectrum(system, ZERO_FIELD, 0.0, 3)
 
+    @pytest.mark.parametrize("k", [683, 1024])
+    def test_first_grid_without_a_second_refused_before_any_solve(self, monkeypatch, k):
+        # 2k points fit under the cap, 3k do not: one solve could not converge
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sector matrix was built")
+
+        monkeypatch.setattr(oracle, "build_sector_hamiltonian", refuse)
+        system = oscillator_system(spin=0.5)
+        message = "^oracle did not converge for m_quantum=0.5 within 2048 points$"
+        with pytest.raises(ConvergenceError, match=message):
+            converged_spectrum(system, ZERO_FIELD, 0.5, k)
+
 
 class TestExpectationPosition:
     def test_symmetric_ground_state_sits_at_offset(self):
@@ -421,6 +433,24 @@ class TestValidateLevels:
 
         monkeypatch.setattr(oracle, "_mirrored_kinetic_row", refuse)
         assert validate_levels(system, field, levels) == want
+
+    def test_one_closed_form_call_per_request(self, monkeypatch):
+        # the README quickstart trap, n <= 3 in all four sectors, asked out of
+        # order and twice over: one energy_level call, records in (M, n) order
+        system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+        field = FieldProfile(0.0, 0.002, 40.0)
+        levels = [(m, n) for n in (3, 0, 2, 1) for m in system.levels()]
+        want = validate_levels(system, field, levels)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return energy_level(*args)
+
+        monkeypatch.setattr(oracle, "energy_level", counted)
+        assert validate_levels(system, field, levels + levels[::-1]) == want
+        assert len(calls) == 1
+        assert [(r.m_quantum, r.n) for r in want.records] == sorted(levels)
 
     def test_records_hold_python_floats(self):
         # numpy-scalar parameters too: the closed forms come back as one array per sector

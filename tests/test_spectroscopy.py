@@ -232,6 +232,12 @@ class TestCrossingScan:
         with pytest.raises(ValueError, match="empty level list"):
             crossing_scan(system, FieldProfile(0.0, 0.0, 0.0), (0.0, 1.0), [])
 
+    def test_empty_gbar_range_rejected(self):
+        # a range of one point is refused as such, not clipped to an empty scan
+        system = larmor_system()
+        with pytest.raises(ValueError, match="^gbar_range must be an increasing pair$"):
+            crossing_scan(system, FieldProfile(0.0, 0.0, 0.0), (0.5, 0.5), [(0.5, 0), (1.5, 0)])
+
     def test_too_few_steps_rejected(self):
         system = larmor_system()
         with pytest.raises(ValueError, match="steps"):
@@ -438,6 +444,54 @@ class TestIdentifyFrequency:
         with pytest.raises(InversionError, match="bracket does not contain optimum"):
             identify_frequency(lines, system, field, 0, (2.3e4, 9.9e4), scan_points=16)
         assert rounds
+
+    QUICKSTART = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+
+    @staticmethod
+    def residual_of_omega(monkeypatch, residual):
+        # each omega's misfit becomes residual(omega / 1e5), not a fit of lines
+        monkeypatch.setattr(spectroscopy, "_pair_from_parts", lambda system, *args: system.omega)
+        monkeypatch.setattr(
+            spectroscopy, "_misfits", lambda omegas, measured: residual(omegas[:, 0] / 1e5)
+        )
+
+    def test_refined_basin_that_only_ties_the_edge_is_refused(self, monkeypatch):
+        # the lower edge's residual is 1 and the basin at 1.5 refines to 1.52,
+        # where 1 + 1e-7 * |x - 1.52| rounds to 1: a tie keeps the refusal
+        self.residual_of_omega(
+            monkeypatch, lambda x: 1.0 + 1e-7 * np.minimum(100.0 * (x - 1.0), np.abs(x - 1.52))
+        )
+        field = FieldProfile(0.0, 0.002, 40.0)
+        with pytest.raises(InversionError, match="^bracket does not contain optimum$"):
+            identify_frequency([1.0], self.QUICKSTART, field, 1, (1e5, 2e5), scan_points=11)
+
+    def test_basin_with_a_flat_left_neighbour_is_refined(self, monkeypatch):
+        # coarse residuals ... 2, 1, 1, 2.33 ... at 1.3 to 1.6: 1.5, level with
+        # its left neighbour, is a basin, and only its bracket holds the zero at 1.53
+        self.residual_of_omega(
+            monkeypatch,
+            lambda x: np.where(x <= 1.5, np.maximum(1.0, 1.0 + 10.0 * (1.4 - x)),
+                               np.abs(x - 1.53) / 0.03),
+        )
+        field = FieldProfile(0.0, 0.002, 40.0)
+        result = identify_frequency([1.0], self.QUICKSTART, field, 1, (1e5, 2e5), scan_points=11)
+        assert result.omega_estimate == pytest.approx(1.53e5, rel=1e-9)
+
+    def test_three_scan_points_accepted(self):
+        # the smallest scan the CLI schema accepts: its middle point is the basin
+        field = FieldProfile(0.0, 0.002, 40.0)
+        lines = [l.frequency_hz for l in transition_lines(self.QUICKSTART, field, 1)]
+        omega = self.QUICKSTART.omega
+        result = identify_frequency(
+            lines, self.QUICKSTART, field, 1, (0.9 * omega, 1.1 * omega), scan_points=3
+        )
+        assert result.omega_estimate == pytest.approx(omega, rel=1e-9)
+
+    def test_one_point_bracket_rejected(self):
+        field = FieldProfile(0.0, 0.002, 40.0)
+        lines = [l.frequency_hz for l in transition_lines(self.QUICKSTART, field, 1)]
+        with pytest.raises(ValueError, match="^bracket must be an increasing pair"):
+            identify_frequency(lines, self.QUICKSTART, field, 1, (1e5, 1e5))
 
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(3)
