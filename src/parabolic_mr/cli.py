@@ -1,9 +1,9 @@
 """Command-line interface: scenario configs in, deterministic CSV/JSON out.
 
 Scenarios are flat JSON documents parsed strictly (unknown keys are
-rejected, which catches unit typos early).  All floating-point output uses
-17 significant digits so files can be diffed at full double precision, and
-a given config always produces byte-identical files.
+rejected, which catches unit typos early).  Every float written reads back
+exactly (CSV prints 17 significant digits, JSON the shortest round-trip
+repr), and a given config always produces byte-identical files.
 
 Each subcommand builds its files, refusing a table that holds an inf or nan,
 then one writer creates ``--out``, writes them all (a failed write removes

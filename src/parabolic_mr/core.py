@@ -14,13 +14,18 @@ Everything here is exact closed form; the grid diagonalization in
 Internally energies are handled in units of hbar*omega and lengths in units
 of sqrt(hbar/(mass*omega)); joules and meters appear only at the API surface.
 
-Every closed form, here and in :mod:`parabolic_mr.spectroscopy`, reads a
-sector's mbar and sqrt(1 - mbar) from ``_sector``, which also refuses an
-unbound sector.  ``scaled_spin_number`` and ``energy_level`` also evaluate
-over numpy arrays: ``SpinSystem.omega``, ``FieldProfile.gbar``, M and n may
-each be an array, and the result broadcasts over them.  Scalars and arrays
-run the same expression, and each element of an array result is
-bit-identical to the scalar call on that element's values.
+Every closed form of the package lives here and reads a sector's mbar and
+sqrt(1 - mbar) from ``_sector``, which also refuses an unbound sector.  The
+pair kernel (``_level_parts``, then ``_pair_from_parts``) cancels the common
+terms of two eigenvalues analytically, not by subtracting two large energies;
+besides avoiding cancellation error, this makes the homogeneous-field lines
+(g = gbar = 0) independent of omega, bit for bit: a uniform field cannot
+reveal the trap frequency.  ``scaled_spin_number``, ``energy_level`` and the
+pair kernel also evaluate over numpy arrays: ``SpinSystem.omega``,
+``FieldProfile.gbar``, M and n may each be an array, and the result
+broadcasts over them.  Scalars and arrays run the same expression, and each
+element of an array result is bit-identical to the scalar call on that
+element's values.
 """
 
 from __future__ import annotations
@@ -393,6 +398,23 @@ def energy_level(system: SpinSystem, field: FieldProfile, m: float, n: int) -> f
         except ZeroDivisionError:  # a scalar divisor underflowed: an array's inf, or 0/0's nan
             shift = math.inf if shift else shift * math.inf
         return HBAR * system.omega * (quantum - zeeman - shift)
+
+
+def _level_parts(system: SpinSystem, field: FieldProfile, level):
+    """(M, (n + 1/2) sqrt(1 - mbar), M^2 / (1 - mbar)): a level's share of a pair."""
+    m, n = level
+    _, root = _sector(system, field, m)
+    return m, (n + 0.5) * root, m * m / (root * root)
+
+
+def _pair_from_parts(system: SpinSystem, field: FieldProfile, parts_a, parts_b) -> float:
+    """E_a - E_b from the :func:`_level_parts` of the two levels."""
+    (ma, osc_a, shift_a), (mb, osc_b, shift_b) = parts_a, parts_b
+    osc = HBAR * system.omega * (osc_a - osc_b)
+    zeeman = system.gamma * _field_at_offset(system, field) * HBAR * (ma - mb)
+    slope = system.gamma * _gradient_at_offset(system, field)
+    shift_scale = slope * slope * HBAR * HBAR / (2.0 * system.mass * system._omega_squared)
+    return osc - zeeman - shift_scale * (shift_a - shift_b)
 
 
 def energy_decomposition(

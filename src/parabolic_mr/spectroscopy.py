@@ -4,18 +4,11 @@ Transition-line lists, level-crossing scans versus the quadratic field
 parameter, and the inverse problem of recovering the trap frequency from the
 spin-sublevel splittings of a single oscillator level.
 
-Line energies come from one pair kernel: ``_level_parts`` reads a level's
-sqrt(1 - mbar) from ``core._sector``, and ``_pair_from_parts`` forms the
-analytically cancelled difference of two eigenvalues from two levels' parts,
-rather than a subtraction of two large energies; besides avoiding
-cancellation error, this makes the homogeneous-field line set (g = gbar = 0)
-exactly independent of omega, bit for bit, which is the physical statement
-that a uniform field cannot reveal the trap frequency.
-
-Line lists, scans and the inversion derive each level's parts once and pair
-them: a line list in one array call, which names its worst unbound sector,
-paired as Python floats; a scan over numpy arrays whose level pairs are the
-rows of pair-grid blocks.  Crossing bisections and the inversion's
+Line lists, scans and the inversion derive each level's parts once by the
+pair kernel of :mod:`parabolic_mr.core`, which holds all the algebra, and
+pair them: a line list in one array call, which names its worst unbound
+sector, paired as Python floats; a scan over numpy arrays whose level pairs
+are the rows of pair-grid blocks.  Crossing bisections and the inversion's
 golden-section searches run in rounds over the steps each predicts, one
 kernel call per block, keeping the scalar searches' points and comparisons.
 Arguments are checked once per scan or line list, and each array element is
@@ -34,13 +27,12 @@ from .constants import HBAR, TWO_PI
 from .core import (
     FieldProfile,
     SpinSystem,
-    _gradient_at_offset,
-    _field_at_offset,
+    _level_parts,
     _mbar,
     _omega_floor,
+    _pair_from_parts,
     _projection,
     _require_int,
-    _sector,
     _square,
     energy_level,
 )
@@ -124,23 +116,6 @@ def _pair_delta_e(system: SpinSystem, field: FieldProfile, level_a, level_b) -> 
     levels (M, n) with checked M; like :func:`energy_level`, it broadcasts."""
     parts = _level_parts(system, field, level_a), _level_parts(system, field, level_b)
     return _pair_from_parts(system, field, *parts)
-
-
-def _level_parts(system: SpinSystem, field: FieldProfile, level):
-    """(M, (n + 1/2) sqrt(1 - mbar), M^2 / (1 - mbar)): a level's share of a pair."""
-    m, n = level
-    _, root = _sector(system, field, m)
-    return m, (n + 0.5) * root, m * m / (root * root)
-
-
-def _pair_from_parts(system: SpinSystem, field: FieldProfile, parts_a, parts_b) -> float:
-    """E_a - E_b from the :func:`_level_parts` of the two levels."""
-    (ma, osc_a, shift_a), (mb, osc_b, shift_b) = parts_a, parts_b
-    osc = HBAR * system.omega * (osc_a - osc_b)
-    zeeman = system.gamma * _field_at_offset(system, field) * HBAR * (ma - mb)
-    slope = system.gamma * _gradient_at_offset(system, field)
-    shift_scale = slope * slope * HBAR * HBAR / (2.0 * system.mass * system._omega_squared)
-    return osc - zeeman - shift_scale * (shift_a - shift_b)
 
 
 def transition_lines(
@@ -431,14 +406,25 @@ def _misfits(delta_e: np.ndarray, measured: list[float]) -> np.ndarray:
 
     A row's |delta E| become its sorted model lines, which pair up with the
     measured ones in order when there are as many of each; otherwise each
-    measured line is matched to its nearest model line.  Squares go through
+    measured line is matched to its nearest model line, the nearer of its two
+    neighbours in the row (a square never shrinks as the two lines part), and
+    a row holding a nan line misfits nan.  Squares go through
     ``core._square`` (inf past double range), and a row adds them in order
     along ``cumsum``.  A misfit that is not finite raises ``ValueError``.
     """
     model = np.sort(np.abs(delta_e) / (TWO_PI * HBAR), axis=1)
     y = np.asarray(measured)
-    paired = model.shape[1] == len(measured)
-    sq = _square(model - y) if paired else _square(model[:, :, None] - y).min(axis=1)
+    rows, width = model.shape
+    if width == len(y):
+        sq = _square(model - y)
+    else:  # below[r, j]: the model lines of row r at or below measured line j
+        bins = len(y) + 1
+        first = (np.searchsorted(y, model) + bins * np.arange(rows)[:, None]).ravel()
+        below = np.bincount(first, minlength=rows * bins).reshape(rows, bins).cumsum(axis=1)[:, :-1]
+        lower = np.take_along_axis(model, np.maximum(below - 1, 0), axis=1)
+        upper = np.take_along_axis(model, np.minimum(below, width - 1), axis=1)
+        sq = np.minimum(_square(lower - y), _square(upper - y))
+        sq[np.isnan(model[:, -1])] = np.nan  # a row with a nan line (sorted last)
     misfits = np.sqrt(np.cumsum(sq, axis=1)[:, -1] / len(measured))
     if not np.isfinite(misfits).all():
         raise ValueError("line misfit past double precision: model lines far off the measured")
@@ -464,8 +450,8 @@ def identify_frequency(
     by a coarse scan of ``scan_points`` omegas, then golden-section rounds to
     relative 1e-10 over the points the up to three basins' next
     ``GOLDEN_ROUND_STEPS`` steps may need (:func:`_golden_round`).  Both take
-    one path: row blocks of at most ``SCAN_BLOCK_POINTS`` line values (an
-    omega's 2S, times the measured lines when matched to the nearest), one array
+    one path: row blocks of at most ``SCAN_BLOCK_POINTS`` values (an omega's
+    2S lines, plus 4 per measured line when matched to the nearest), one array
     call each of the pair kernel and :func:`_misfits`, so memory stays bounded
     and a residual is, bit for bit, a one-row call's.
 
@@ -500,8 +486,9 @@ def identify_frequency(
         raise InversionError("bracket does not contain optimum: entire bracket dissociated")
 
     levels = np.array(system_template.levels())
-    # an omega's line values: 2S, times the measured lines if nearest-matched
-    width = (len(levels) - 1) * (1 if len(measured) == len(levels) - 1 else len(measured))
+    # an omega's values: 2S lines, and when nearest-matched the arrays of one
+    # value per measured line that _misfits holds
+    width = len(levels) - 1 + (0 if len(measured) == len(levels) - 1 else 4 * len(measured))
     rows = max(1, SCAN_BLOCK_POINTS // width)
 
     def misfits(omegas) -> np.ndarray:

@@ -170,6 +170,25 @@ def test_coarse_scan_residuals_match_scalar_residual():
             assert np.array_equal(bits(_misfits(np.array([row]), measured)), bits([value]))
 
 
+def test_nearest_line_misfit_matches_the_minimum_over_the_row():
+    # each measured line is compared with only its two neighbours in the
+    # sorted row; on lines a few ulps apart, tied, repeated, or below or above
+    # a whole row, that gives the misfit of the minimum over the row
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        rows, width, count = rng.integers(1, 6), rng.integers(1, 8), rng.integers(1, 8)
+        if width == count:
+            count += 1
+        hz = 1.0 + rng.integers(-3, 4, size=(rows, width)) * 2.0**-52
+        delta_e = hz * (TWO_PI * HBAR) * rng.choice([-1.0, 1.0], size=(rows, width))
+        measured = sorted((1.0 + rng.integers(-5, 6, size=count) * 2.0**-52).tolist())
+        want = [
+            scalar_misfit(sorted((np.abs(row) / (TWO_PI * HBAR)).tolist()), measured)
+            for row in delta_e
+        ]
+        assert np.array_equal(bits(_misfits(delta_e, measured)), bits(want))
+
+
 def scalar_bisection(system, field, level_a, level_b, lo, hi, f_lo, g_scale):
     """One bracket bisected point by point, with crossing_scan's stop rule,
     which the step after MAX_BISECTION_STEPS still applies to its flag."""
@@ -436,7 +455,7 @@ def test_golden_rounds_match_the_scalar_search(monkeypatch):
 
 def test_inversion_blocks_match_the_scalar_search_on_nearest_lines(monkeypatch):
     # 2S - 1 or 2S + 1 measured lines are each matched to the nearest model
-    # line, 2S x lines values an omega; blocks of 1, 7 and 100 omegas split
+    # line, 2S + 4 x lines values an omega; blocks of 1, 7 and 100 omegas split
     # the coarse scan and the golden rounds, and every misfit and the
     # estimate keep the bits of the point-by-point search
     rng = np.random.default_rng(31)
@@ -455,7 +474,7 @@ def test_inversion_blocks_match_the_scalar_search_on_nearest_lines(monkeypatch):
         args = (measured, replace(system, omega=1.0), field, n,
                 (system.omega / 2.0, system.omega * 2.0))
         estimate, rms, _, _ = scalar_identify_frequency(*args)
-        width = len(lines) * len(measured)
+        width = len(lines) + 4 * len(measured)
         for rows in (1, 7, 100):
             monkeypatch.setattr(spectroscopy, "SCAN_BLOCK_POINTS", (rows + 1) * width - 1)
             shapes.clear()

@@ -524,6 +524,20 @@ class TestLinesAndInvertCommands:
         )
         assert_in_one_gib("invert", config, out, (EXIT_OK, EXIT_PHYSICS))
 
+    def test_invert_one_omega_wider_than_memory_fits_in_one_gib(self, tmp_path):
+        # the 258840-line lines.csv against the 1023 model lines of S = 1023/2:
+        # each measured line is matched to its two neighbours in the sorted
+        # row, where 1023 x 258840 values at one omega took 1.97 GiB
+        config = write_config(tmp_path, spin=2.5, rule="all_pairs_within", n_max=119)
+        out = tmp_path / "out"
+        assert run(["lines", "--config", config, "--out", str(out)]) == EXIT_OK
+        config = write_config(
+            tmp_path, spin=MAX_SPIN, gbar=0.01, fixed_n=1,
+            measured_lines_file=str(out / "lines.csv"), scan_points=3,
+            bracket_lo=BASE_CONFIG["omega"] / 3.0, bracket_hi=BASE_CONFIG["omega"] * 3.0,
+        )
+        assert_in_one_gib("invert", config, out, (EXIT_OK, EXIT_PHYSICS))
+
 
 def assert_in_one_gib(command, config, out, exits):
     """``command`` in a child process limited to 1 GiB of address space ends

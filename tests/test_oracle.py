@@ -75,6 +75,10 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid too coarse"):
             Grid(5.0, -5.0, 128, 1.0)
 
+    def test_rejects_an_empty_domain(self):
+        with pytest.raises(ValueError, match="u_min must be below u_max"):
+            Grid(5.0, 5.0, 128, 1.0)
+
     def test_rejects_more_points_than_the_cap(self):
         Grid(-5.0, 5.0, oracle.MAX_DVR_POINTS, 1.0)
         with pytest.raises(ValueError, match="too fine"):
@@ -86,6 +90,17 @@ class TestGrid:
         system = oscillator_system(offset=1e-6)
         with pytest.raises(ValueError, match=r"m_quantum=1.0 cannot be resolved in double precision"):
             auto_grid(system, FieldProfile(0.0, 1e200, 0.0), 1.0, 5, 64)
+
+    def test_half_width_must_exceed_the_finest_grid_in_ulps(self):
+        # k = 24 and mbar = 0 give a half-width of sqrt(49) + 9 = 16, which a
+        # centre in [2**45, 2**46) (ulp 2**-7) meets at exactly 2048 ulps:
+        # refused; a centre in [2**44, 2**45) leaves twice that room
+        system = oscillator_system()
+        lam = oscillator_length(system.mass, system.omega)
+        grid = auto_grid(replace(system, offset=1.5 * 2.0**44 * lam), ZERO_FIELD, 1.0, 24, 64)
+        assert grid.u_max - grid.u_min == 32.0
+        with pytest.raises(ValueError, match="cannot be resolved in double precision"):
+            auto_grid(replace(system, offset=1.5 * 2.0**45 * lam), ZERO_FIELD, 1.0, 24, 64)
 
     def test_spacing_and_points(self):
         grid = Grid(-8.0, 8.0, 65, 1.0)
@@ -487,6 +502,20 @@ class TestValidateLevels:
         system = oscillator_system()
         with pytest.raises(ValueError):
             validate_levels(system, ZERO_FIELD, [])
+
+    def test_pass_rule_boundaries(self):
+        # a level passes below tolerance relative to |E|, or at most tolerance
+        # times its oscillator scale: an error of exactly 2**-20 relative to
+        # |E| = 1 fails when the scale allows less, and one of exactly 2**-20
+        # times the scale passes however large it is relative to |E|
+        def report(analytic, numeric, scale):
+            record = oracle.LevelRecord(0.5, 0, analytic, numeric,
+                                        abs(numeric - analytic) / analytic, scale)
+            return oracle.ValidationReport((record,), (), 2.0**-20, record.rel_error)
+
+        assert not report(1.0, 1.0 + 2.0**-20, 0.5).passed()
+        assert report(0.25, 0.25 + 2.0**-20, 1.0).passed()
+        assert not report(0.25, 0.25 + 2.0**-19, 1.0).passed()
 
     @pytest.mark.parametrize("n", [1.7, -1])
     def test_n_checked_before_any_solve(self, monkeypatch, n):

@@ -426,6 +426,14 @@ class TestIdentifyFrequency:
         with pytest.raises(ValueError, match="line misfit past double precision"):
             identify_frequency([53.0], system, FieldProfile(0, 1e150, 0), 0, (5e4, 6e5))
 
+    def test_nearest_matching_refuses_a_row_with_a_nan_line(self):
+        # each measured line is compared with only its two neighbours in the
+        # sorted row, yet a nan line anywhere in the row (sorted last, beside
+        # neither) still makes its misfit nan, as a minimum over the row does
+        row = np.array([[1.0, math.nan, 3.0]]) * (2.0 * math.pi * HBAR)
+        with pytest.raises(ValueError, match="line misfit past double precision"):
+            spectroscopy._misfits(row, [2.0, 2.5])
+
     def test_edge_that_beats_every_refined_basin_is_refused(self, monkeypatch):
         # three of the four S = 2 lines: the bracket's upper edge beats the
         # coarse basins and none refines below it, so the refusal comes after

@@ -1,10 +1,11 @@
 """Repository-level checks: the runtime dependency set, the public surface
 and result fields, where numpy's error state is set, how a failing property
 test reports, where dissociation is decided and mbar derived, what the
-oracle imports, the argument checks of a crossing scan and of a scenario, the
-kernel calls of a scan and of an inversion, the one line misfit and the one
-bounded evaluation path of the inversion, the one scan grid and one squaring,
-the CLI's one writer and one error line, the README's config-key table, the
+oracle imports, that core alone holds the closed-form algebra, the argument
+checks of a crossing scan and of a scenario, the kernel calls of a scan and
+of an inversion, the one line misfit and the one bounded evaluation path of
+the inversion, the one scan grid and one squaring, the CLI's one writer and
+one error line, the README's config-key table and library quickstart, the
 module entry point, the demo scripts and the benchmark harness and tracer."""
 
 import ast
@@ -198,6 +199,38 @@ def test_one_sector_rule_and_an_oracle_apart_from_it():
     assert sorted(imported) == [
         "FieldProfile", "SpinSystem", "_projection", "_require_int", "energy_level"
     ]
+
+
+def test_core_owns_the_closed_form_algebra():
+    # the pair kernel sits beside energy_level in core, and spectroscopy
+    # builds on it without the sector algebra: it imports none of its parts
+    # and reads no parameter the algebra needs, only a system's spin and levels
+    trees = _module_trees()
+    defined = {
+        module: {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+        for module, tree in trees.items()
+    }
+    kernel = {"_level_parts", "_pair_from_parts", "energy_level"}
+    assert kernel <= defined["core"]
+    assert not kernel & defined["spectroscopy"]
+    algebra = {"_sector", "_field_at_offset", "_gradient_at_offset"}
+    readers = sorted(
+        (module, name)
+        for module, tree in trees.items() if module != "core"
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [getattr(node, "id", getattr(node, "attr", None))]
+        )
+        if name in algebra
+    )
+    assert readers == []
+    parameters = {"gamma", "mass", "omega", "offset", "b0", "_omega_squared"}
+    read = sorted(
+        (node.attr, node.lineno) for node in ast.walk(trees["spectroscopy"])
+        if isinstance(node, ast.Attribute) and node.attr in parameters
+    )
+    assert read == []
 
 
 def test_crossing_points_are_built_in_one_place():
@@ -538,19 +571,37 @@ def test_traced_benchmark_reports_every_layer():
             assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
 
 
-def run_script(name, *args):
-    """A demo script run in a fresh interpreter on the package in src/."""
+def run_python(*args):
+    """A fresh interpreter run with ``args`` on the package in src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
         env=env,
     )
+
+
+def run_script(name, *args):
+    """A demo script run in a fresh interpreter on the package in src/."""
+    return run_python(os.path.join(ROOT, "scripts", name), *args)
+
+
+def test_readme_library_quickstart_runs():
+    # the quickstart's one python block runs as printed, and its inversion
+    # recovers system.omega to the 1e-10 relative the README claims
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    check = "print(repr(abs(result.omega_estimate - system.omega) / system.omega))\n"
+    proc = run_python("-c", block + check)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) <= 1e-10
 
 
 def test_figure1_demo_writes_the_pinned_figure(tmp_path):
