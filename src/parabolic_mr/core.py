@@ -31,7 +31,7 @@ element's values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from numpy import ndarray
@@ -143,6 +143,16 @@ class SpinSystem:
         """All spin projections -S, -S+1, ..., S (exact half-integers)."""
         count = int(round(2.0 * self.spin)) + 1
         return tuple(-self.spin + i for i in range(count))
+
+
+def _within(ends: SpinSystem, omega: ndarray) -> SpinSystem:
+    """``ends``, a system :class:`SpinSystem` checked at an omega array, at the
+    frequencies ``omega`` between its ends, unchecked: mass*omega**2 grows with
+    omega > 0, and a correctly rounded ``pow`` and product are monotone, so
+    mass*fl(omega**2) lies between the two checked end values."""
+    system = object.__new__(SpinSystem)
+    system.__dict__.update(ends.__dict__, omega=omega, _omega_squared=_square(omega))
+    return system
 
 
 @dataclass(frozen=True)
@@ -277,13 +287,15 @@ def oscillator_wavefunction(n: int, omega: float, mass: float, x):
     psi_n(x) = (m*omega/(pi*hbar))^(1/4) / sqrt(2^n n!) * H_n(xi) * exp(-xi^2/2)
     with xi = x*sqrt(m*omega/hbar).  Accepts scalar or ndarray ``x``.  Where
     exp(-xi^2/2) underflows to 0, psi is 0 without a warning, even where xi**2
-    or H_n(xi) overflows.
+    or H_n(xi) overflows.  A nonpositive or non-finite omega or mass raises
+    ``ValueError`` naming it.
     """
     n = _require_int(n)
     if n > MAX_HERMITE_ORDER:
         raise ValueError(f"order too large: n={n} exceeds {MAX_HERMITE_ORDER}")
-    if not (omega > 0.0 and mass > 0.0):
-        raise ValueError("invalid system: omega and mass must be positive")
+    for name, value in (("omega", omega), ("mass", mass)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"invalid system: {name} must be positive and finite")
     scalar = not isinstance(x, np.ndarray)
     xs = np.asarray(x, dtype=float)
     scale = math.sqrt(mass * omega / HBAR)
@@ -299,6 +311,17 @@ def oscillator_wavefunction(n: int, omega: float, mass: float, x):
 def _mbar(system: SpinSystem, field: FieldProfile, mq: float) -> float:
     """mbar for an already validated projection (or array of them)."""
     return 2.0 * system.gamma * field.gbar * HBAR * mq / (system._omega_squared * system.mass)
+
+
+def _gbar_bounds(system: SpinSystem, field: FieldProfile, ms: ndarray) -> tuple[float, float]:
+    """The gbar interval (lo, hi) on which every sector of the projections ``ms``
+    stays bound; 1/slope overflows for a subnormal slope, so callers hold an ``np.errstate``."""
+    # sector M is bound while gbar * slope < 1, i.e. on zero's side of 1/slope
+    slopes = _mbar(system, replace(field, gbar=1.0), ms)  # mbar per unit gbar
+    bounds = 1.0 / slopes[slopes != 0.0]
+    lo_allowed = float(bounds[bounds < 0.0].max(initial=-math.inf))
+    hi_allowed = float(bounds[bounds >= 0.0].min(initial=math.inf))
+    return lo_allowed, hi_allowed
 
 
 def _sector(system: SpinSystem, field: FieldProfile, mq: float):

@@ -332,12 +332,15 @@ def converged_spectrum(
     stops once two successive solves agree per-eigenvalue to 0.1*tol
     relative (the comparison scale is floored at half the sector level
     spacing so eigenvalues passing through zero cannot stall the check).
-    Raises ``ValueError`` for tol below ``MIN_TOL`` or for energies past
+    Raises ``ValueError`` for a k that is not a positive integer or a tol
+    below ``MIN_TOL``, both before any grid is built, or for energies past
     double precision in joules, ``DissociationError`` for mbar >= 1, and
     ``ConvergenceError`` if the next grid would exceed ``MAX_DVR_POINTS``:
     before any solve when the first grid leaves no room for a second (k >= 683).
     """
     mq = _projection(system, m)
+    if _require_int(k, "k") < 1:
+        raise ValueError("k must be at least 1")
     if not (tol >= MIN_TOL):
         raise ValueError(f"tol must be at least {MIN_TOL:g}")
     mbar = _bound_mbar(system, field, mq)

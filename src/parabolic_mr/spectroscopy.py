@@ -12,7 +12,9 @@ are the rows of pair-grid blocks.  Crossing bisections and the inversion's
 golden-section searches run in rounds over the steps each predicts, one
 kernel call per block, keeping the scalar searches' points and comparisons.
 Arguments are checked once per scan or line list, and each array element is
-bit-identical to the scalar evaluation.
+bit-identical to the scalar evaluation.  The inversion checks its system once,
+at the bracket ends, and derives every omega it evaluates from that checked
+pair (``core._within``).
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from .constants import HBAR, TWO_PI
 from .core import (
     FieldProfile,
     SpinSystem,
+    _gbar_bounds,
     _level_parts,
-    _mbar,
     _omega_floor,
     _pair_from_parts,
     _projection,
     _require_int,
     _square,
+    _within,
     energy_level,
 )
 from .errors import DissociationError, InversionError
@@ -242,11 +245,7 @@ def crossing_scan(
         raise ValueError("gbar_range must be an increasing pair")
 
     with np.errstate(all="ignore"):
-        # sector M is bound while gbar * slope < 1, i.e. on zero's side of 1/slope
-        slopes = _mbar(system, replace(field_base, gbar=1.0), ms)  # mbar per unit gbar
-        bounds = 1.0 / slopes[slopes != 0.0]
-        lo_allowed = float(bounds[bounds < 0.0].max(initial=-math.inf))
-        hi_allowed = float(bounds[bounds >= 0.0].min(initial=math.inf))
+        lo_allowed, hi_allowed = _gbar_bounds(system, field_base, ms)
         finite = [abs(bound) for bound in (lo_allowed, hi_allowed) if math.isfinite(bound)]
         margin = 1e-12 * max(finite + [1.0])  # an unbounded side sets no scale
         g_lo = max(g_lo, lo_allowed + margin)
@@ -466,6 +465,8 @@ def identify_frequency(
     measured = np.array(sorted(float(v) for v in lines_hz))
     if not len(measured):
         raise ValueError("at least one measured line is required")
+    if not np.isfinite(measured).all():
+        raise ValueError("lines_hz must be finite frequencies")
     if system_template.spin == 0.0:
         raise ValueError("spin 0 has no adjacent-M lines to fit")
     n = _require_int(n)
@@ -491,12 +492,18 @@ def identify_frequency(
     width = len(levels) - 1 + (0 if len(measured) == len(levels) - 1 else 4 * len(measured))
     rows = max(1, SCAN_BLOCK_POINTS // width)
 
+    xs = _scan_grid(lo, hi, scan_points - 1)
+    try:  # mass*omega**2 grows with omega, so the scan's ends bound every omega searched
+        ends = replace(system_template, omega=xs[[0, -1]])
+    except ValueError:  # the template is valid, so only omega can be refused
+        raise ValueError("bracket ends must keep mass*omega**2 a positive finite double") from None
+
     def misfits(omegas) -> np.ndarray:
         # at each omega, of level n's adjacent-M lines, the upper level first
         # as transition_lines pairs them, in blocks of ``rows`` omegas
         omegas, fits = np.array(omegas)[:, None], []
         for start in range(0, len(omegas), rows):
-            system = replace(system_template, omega=omegas[start:start + rows])
+            system = _within(ends, omegas[start:start + rows])
             with np.errstate(all="ignore"):
                 m, osc, shift = _level_parts(system, field, (levels, n))
                 upper = (m[1:], osc[:, 1:], shift[:, 1:])
@@ -504,11 +511,6 @@ def identify_frequency(
                 fits.append(_misfits(_pair_from_parts(system, field, upper, lower), measured))
         return np.concatenate(fits)
 
-    xs = _scan_grid(lo, hi, scan_points - 1)
-    try:  # mass*omega**2 grows with omega, so the scan's ends bound every omega searched
-        replace(system_template, omega=xs[[0, -1]])
-    except ValueError:  # the template is valid, so only omega can be refused
-        raise ValueError("bracket ends must keep mass*omega**2 a positive finite double") from None
     fs = misfits(xs)
     f_min, f_max = float(fs.min()), float(fs.max())
     if (f_max - f_min) <= 1e-12 * max(f_max, 1e-300):

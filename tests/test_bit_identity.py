@@ -9,6 +9,7 @@ differ and NaN would show), and the bisection and golden-section rounds,
 at their boundaries too, to the point-by-point searches.
 """
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import replace
@@ -29,7 +30,7 @@ from parabolic_mr import (
 from parabolic_mr import spectroscopy
 from parabolic_mr.cli import figure1_scenario, run
 from parabolic_mr.constants import HBAR, TWO_PI
-from parabolic_mr.core import _square
+from parabolic_mr.core import _square, _within
 from parabolic_mr.spectroscopy import _misfits, _pair_delta_e
 
 
@@ -120,6 +121,25 @@ def test_omega_arrays_square_like_python_floats():
     want = [_pair_delta_e(replace(system, omega=w), field, (1.5, 3), (-0.5, 3))
             for w in omegas.tolist()]
     assert np.array_equal(bits(_pair_delta_e(scan, field, (1.5, 3), (-0.5, 3))), bits(want))
+
+
+def test_within_equals_the_checked_constructor():
+    # the inversion's unchecked system at an omega between checked ends holds
+    # every field the constructor would, omega**2 bit for bit
+    rng = np.random.default_rng(33)
+    system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1e3, offset=2e-6,
+                        sample_half_length=1e-5)
+    for lo, hi in ((1e3, 1e6), (5e4, 6e5), (1e-5, 1e140)):
+        ends = replace(system, omega=np.array([lo, hi]))
+        for omegas in (pow_trap_omegas(rng, lo, hi), lo * (hi / lo) ** rng.uniform(0, 1, (64, 1))):
+            got, want = _within(ends, omegas), replace(system, omega=omegas)
+            assert type(got) is SpinSystem
+            for name in [f.name for f in dataclasses.fields(SpinSystem)]:
+                value = getattr(want, name)
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(bits(getattr(got, name)), bits(value)), name
+                else:
+                    assert getattr(got, name) == value, name
 
 
 def scalar_misfit(model, measured):

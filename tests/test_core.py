@@ -42,10 +42,12 @@ def simple_system(**overrides):
 
 class TestDomainTypes:
     def test_rejects_nonpositive_mass_and_omega(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
             simple_system(mass=0.0)
         with pytest.raises(ValueError):
             simple_system(omega=-1.0)
+        with pytest.raises(ValueError, match="sample_half_length must be positive"):
+            simple_system(sample_half_length=0.0)
 
     @pytest.mark.parametrize("omega", [1e200, 1e-170, np.array([1e5, 1e200])])
     def test_rejects_omega_whose_square_leaves_the_doubles(self, omega):
@@ -208,6 +210,14 @@ class TestOscillatorWavefunction:
     def test_zero_omega_rejected(self):
         with pytest.raises(ValueError, match="invalid system"):
             oscillator_wavefunction(0, 0.0, self.MASS, 0.0)
+
+    @pytest.mark.parametrize("name", ["omega", "mass"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_omega_or_mass_named(self, name, value):
+        # an infinite omega or mass once gave nan without a warning
+        args = {"omega": self.OMEGA, "mass": self.MASS, name: value}
+        with pytest.raises(ValueError, match=f"^invalid system: {name} must be positive and finite$"):
+            oscillator_wavefunction(0, args["omega"], args["mass"], 0.0)
 
     @pytest.mark.parametrize("n", range(6))
     def test_quadrature_normalization(self, n):

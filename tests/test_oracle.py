@@ -353,6 +353,21 @@ class TestConvergedSpectrum:
         with pytest.raises(ConvergenceError, match="did not converge"):
             converged_spectrum(system, ZERO_FIELD, 0.0, 3)
 
+    @pytest.mark.parametrize("k, message", [
+        (2.5, "k must be a nonnegative integer"),
+        (-3, "k must be a nonnegative integer"),
+        (0, "k must be at least 1"),
+    ])
+    def test_malformed_k_refused_before_any_grid(self, monkeypatch, k, message):
+        # a fractional k once raised TypeError from a slice, a negative one a
+        # math domain error, and k = 0 a ValueError after a 64-point matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(oracle, "auto_grid", refuse)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            converged_spectrum(oscillator_system(), ZERO_FIELD, 0.0, k)
+
     @pytest.mark.parametrize("k", [683, 1024])
     def test_first_grid_without_a_second_refused_before_any_solve(self, monkeypatch, k):
         # 2k points fit under the cap, 3k do not: one solve could not converge

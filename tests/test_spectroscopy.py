@@ -588,6 +588,41 @@ class TestIdentifyFrequency:
             with pytest.raises(ValueError, match="scan_points"):
                 identify_frequency([1.0], system, field, 0, (1e4, 1e6), scan_points=points)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measured_line_named(self, bad):
+        # a nan line once raised the model-blaming "line misfit past double precision"
+        system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+        field = FieldProfile(0.0, 0.002, 40.0)
+        with pytest.raises(ValueError, match="^lines_hz must be finite frequencies$"):
+            identify_frequency([bad, 1.0], system, field, 1, (5e4, 6e5))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("truth, mass, gamma, offset, b0, g, gbar, n", [
+        pytest.param(1832.9972243729903, 9.960697756433717e-27, -29937591.27594802,
+                     -3.533793071976244e-06, -0.00010796959967859615, 50.515738833826354,
+                     899622.3054565894, 3, id="seed2-op935"),
+        pytest.param(3056.6651846857444, 3.669453043965053e-27, -17775316882.473984,
+                     8.751398046170656e-06, 3.355065610104615e-07, -0.08201496123139426,
+                     3085.033663000599, 1, id="seed6-op745"),
+        pytest.param(1203.0301348647888, 2.1838802080678294e-27, -25507644496.128895,
+                     -8.758634207811006e-06, 1.8020227169907515e-08, -0.010129837126670841,
+                     -134.40849965572627, 2, id="seed8-op29"),
+        pytest.param(568223.134032308, 1.7701514644734098e-27, -55597431.11059454,
+                     -1.3984506196259973e-06, 0.012714185123989788, -56168.94165950018,
+                     -27152869016.540565, 2, id="seed9-op875"),
+    ])
+    def test_kinked_misfit_recovers_omega(self, truth, mass, gamma, offset, b0, g, gbar, n):
+        # the benchmark's known S = 3/2 misses: a line's signed delta E flips
+        # sign near the truth, and golden-section search settles in the kink
+        system = SpinSystem(mass, gamma, 1.5, truth, offset)
+        field = FieldProfile(b0, g, gbar)
+        lines = [l.frequency_hz for l in transition_lines(system, field, n)]
+        result = identify_frequency(
+            lines, replace(system, omega=1.0), field, n, (truth / 3.0, truth * 3.0)
+        )
+        assert result.identifiable
+        assert abs(result.omega_estimate - truth) / truth < 1e-6
+
     @pytest.mark.parametrize("points", [64.5, 64.0, 2.5])
     def test_fractional_scan_points_rejected(self, points):
         # a fractional count would evaluate omegas past the bracket's top

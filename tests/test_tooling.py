@@ -213,7 +213,7 @@ def test_core_owns_the_closed_form_algebra():
     kernel = {"_level_parts", "_pair_from_parts", "energy_level"}
     assert kernel <= defined["core"]
     assert not kernel & defined["spectroscopy"]
-    algebra = {"_sector", "_field_at_offset", "_gradient_at_offset"}
+    algebra = {"_sector", "_mbar", "_field_at_offset", "_gradient_at_offset"}
     readers = sorted(
         (module, name)
         for module, tree in trees.items() if module != "core"
@@ -297,6 +297,26 @@ def test_inversion_evaluates_through_one_bounded_path():
     ]
     assert "SCAN_BLOCK_POINTS" in {node.id for node in ast.walk(inversion)
                                    if isinstance(node, ast.Name)}
+
+
+def test_inversion_checks_its_system_once(monkeypatch):
+    # the README quickstart inversion checks its template once, at the bracket
+    # ends, and derives every omega block from that checked pair
+    from parabolic_mr import FieldProfile, SpinSystem, identify_frequency, transition_lines
+
+    system = SpinSystem(mass=2e-26, gamma=8e10, spin=1.5, omega=1.1e5, offset=2e-6)
+    field = FieldProfile(b0=0.0, g=0.002, gbar=40.0)
+    lines = [l.frequency_hz for l in transition_lines(system, field, n=1)]
+    checks = []
+
+    def counting(self, _check=SpinSystem.__post_init__):
+        checks.append(self.omega)
+        _check(self)
+
+    monkeypatch.setattr(SpinSystem, "__post_init__", counting)
+    result = identify_frequency(lines, system, field, 1, bracket=(5e4, 6e5))
+    assert repr(result.omega_estimate) == "109999.99999829027"
+    assert len(checks) == 1 and checks[0].shape == (2,)
 
 
 def test_scan_conventions_are_written_once():
